@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -86,35 +86,50 @@ def _partitions_for(cfg: RunConfig):
     return generate(cfg.synth_spec())
 
 
-def _execute_run(cfg: RunConfig, out_dir: Path):
+def _execute_run(cfg: RunConfig) -> None:
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    partitions = _partitions_for(cfg)
-    reports = run_experiment(
-        cfg.federation_config(), partitions, out_dir=out_dir, classes=cfg.classes
+    run_experiment(
+        cfg.federation_config(), _partitions_for(cfg), out_dir=out_dir, classes=cfg.classes
     )
     (out_dir / "resolved_config.txt").write_text(serialize_config(cfg))
-    return reports
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve(args)
-    _execute_run(cfg, Path(cfg.out_dir))
+    _execute_run(_resolve(args))
     return 0
 
 
-def _final_round_summary(reports) -> dict:
-    """Mean test metrics of the preferred model at the final round."""
-    records = reports[-1].records
-    model = next(
-        m for m in PREFERRED_MODELS if any(r.model == m for r in records)
-    )
-    rows = [r for r in records if r.model == model and r.split == "test"]
-    mean = lambda key: sum(getattr(r, key) for r in rows) / len(rows)
+def _final_summary(run_dir: Path) -> dict:
+    """Final-round test metrics of the preferred model, per client and mean."""
+    path = run_dir / "metrics.csv"
+    if not path.exists():
+        raise FedSpectraError(f"{path} not found")
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    if not rows:
+        raise FedSpectraError(f"no evaluation rows in {path}")
+    final_round = max(int(r["round"]) for r in rows)
+    model = next(m for m in PREFERRED_MODELS if any(r["model"] == m for r in rows))
+    selected = [
+        r
+        for r in rows
+        if int(r["round"]) == final_round and r["model"] == model and r["split"] == "test"
+    ]
+    if not selected:
+        raise FedSpectraError(f"no final-round test rows in {path}")
+    keys = ("accuracy", "macro_f1", "macro_auc")
+    clients = {
+        r["client_id"]: {k: float(r[k]) for k in keys}
+        for r in sorted(selected, key=lambda r: int(r["client_id"]))
+    }
+    avg = {k: sum(v[k] for v in clients.values()) / len(clients) for k in keys}
     return {
+        "round": final_round,
         "model": model,
-        "accuracy": mean("accuracy"),
-        "macro_f1": mean("macro_f1"),
-        "macro_auc": mean("macro_auc"),
+        "split": "test",
+        "clients": clients,
+        "avg": avg,
     }
 
 
@@ -131,25 +146,17 @@ def cmd_sweep(args) -> int:
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in client_counts:
-        cfg = load_config(args.config)
-        for item in args.overrides:
-            key, raw = item.split("=", 1)
-            apply_setting(cfg, key.strip(), raw, where="--set")
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        cfg.num_clients = n
-        cfg.out_dir = str(sweep_dir / f"n{n}")
-        cfg.validate()
-        reports = _execute_run(cfg, Path(cfg.out_dir))
-        summary = _final_round_summary(reports)
+        cfg = dataclasses.replace(base, num_clients=n, out_dir=str(sweep_dir / f"n{n}"))
+        _execute_run(cfg)
+        avg = _final_summary(Path(cfg.out_dir))["avg"]
         rows.append(
             [
                 str(n),
                 cfg.aggregator,
                 "true" if cfg.cto_enabled else "false",
-                f"{summary['accuracy']:.12g}",
-                f"{summary['macro_f1']:.12g}",
-                f"{summary['macro_auc']:.12g}",
+                f"{avg['accuracy']:.12g}",
+                f"{avg['macro_f1']:.12g}",
+                f"{avg['macro_auc']:.12g}",
             ]
         )
     with open(sweep_dir / "sweep.csv", "w", newline="\n") as f:
@@ -163,58 +170,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    path = run_dir / "metrics.csv"
-    if not path.exists():
-        print(f"error: {path} not found", file=sys.stderr)
-        return 1
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
-    if not rows:
-        print("error: no evaluation rows in metrics.csv", file=sys.stderr)
-        return 1
-    final_round = max(int(r["round"]) for r in rows)
-    model = next(
-        m
-        for m in PREFERRED_MODELS
-        if any(r["model"] == m for r in rows)
-    )
-    selected = [
-        r
-        for r in rows
-        if int(r["round"]) == final_round and r["model"] == model and r["split"] == "test"
-    ]
-    if not selected:
-        print("error: no final-round test rows", file=sys.stderr)
-        return 1
-
-    keys = ("accuracy", "macro_f1", "macro_auc")
-    clients = {}
-    for r in sorted(selected, key=lambda r: int(r["client_id"])):
-        clients[r["client_id"]] = {k: float(r[k]) for k in keys}
-    avg = {
-        k: sum(v[k] for v in clients.values()) / len(clients) for k in keys
-    }
-
-    header = f"{'client':>8} {'accuracy':>10} {'macro_f1':>10} {'macro_auc':>10}"
-    print(f"final round {final_round}, model={model}, split=test")
-    print(header)
-    for cid, vals in clients.items():
+    summary = _final_summary(run_dir)
+    avg = summary["avg"]
+    print(f"final round {summary['round']}, model={summary['model']}, split=test")
+    print(f"{'client':>8} {'accuracy':>10} {'macro_f1':>10} {'macro_auc':>10}")
+    for cid, vals in list(summary["clients"].items()) + [("Avg", avg)]:
         print(
             f"{cid:>8} {vals['accuracy']:>10.4f} {vals['macro_f1']:>10.4f} "
             f"{vals['macro_auc']:>10.4f}"
         )
-    print(
-        f"{'Avg':>8} {avg['accuracy']:>10.4f} {avg['macro_f1']:>10.4f} "
-        f"{avg['macro_auc']:>10.4f}"
-    )
-    summary = {
-        "round": final_round,
-        "model": model,
-        "split": "test",
-        "clients": clients,
-        "avg": avg,
-    }
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 

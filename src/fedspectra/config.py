@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
 
 from .datasynth import SynthSpec, default_class_counts, default_style
 from .errors import ConfigError
@@ -58,24 +57,13 @@ class RunConfig:
 
     def federation_config(self) -> FederationConfig:
         cfg = FederationConfig(
-            num_clients=self.num_clients,
-            comm_interval=self.comm_interval,
-            total_epochs=self.total_epochs,
-            aggregator=self.aggregator,
             cfa=CfaSchedule(self.s0, self.s1, self.total_epochs),
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            batch_size=self.batch_size,
             lr=LrSchedule(self.lr_initial, self.lr_halve_every),
-            fedprox_mu=self.fedprox_mu,
-            fedbn_exclude_bn=self.fedbn_exclude_bn,
-            cto_enabled=self.cto_enabled,
-            seed=self.seed,
-            domain_mode=self.domain_mode,
-            arch=self.arch,
-            refine_trains_deputy=self.refine_trains_deputy,
-            augment=self.augment,
-            save_checkpoints=self.save_checkpoints,
+            **{
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(FederationConfig)
+                if f.name not in ("cfa", "lr")
+            },
         )
         cfg.validate()
         return cfg

@@ -17,8 +17,8 @@ server.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,23 +35,20 @@ class CtoPhase(enum.Enum):
     REFINE = "refine"
 
 
-_ORDER = [CtoPhase.RETRIEVE, CtoPhase.RECIPROCATE, CtoPhase.REFINE]
-
-
 @dataclass
 class ClientState:
+    """A CTO client; implements the client protocol of `federation`."""
+
     client_id: int
     personalized: Network  # model q: private, never replaced by the server
     deputy: Network  # model c: receives server aggregates
     data: ClientPartition
+    rng: Optional[np.random.Generator] = None  # batch order and augmentation
     lambda1: float = 0.6
     lambda2: float = 0.8
     phase: CtoPhase = CtoPhase.RETRIEVE
-    epoch: int = 0
     refine_trains_deputy: bool = True
     last_received: Optional[ParameterSet] = None
-    best_val: float = -1.0
-    best_params: Optional[ParameterSet] = None
 
     def __post_init__(self):
         if not (0.0 <= self.lambda1 <= self.lambda2 <= 1.0):
@@ -60,6 +57,33 @@ class ClientState:
                 f"({self.lambda1}, {self.lambda2})"
             )
         self.personalized.parameters().require_congruent(self.deputy.parameters())
+
+    def step(self, images, labels, epoch: int, lr: LrSchedule, mu: float) -> None:
+        train_batch(self, images, labels, epoch, lr, mu)
+
+    def end_epoch(self, epoch: int) -> dict:
+        """Evaluate the phase guard on the validation split; the guard event."""
+        phase_from = self.phase.value
+        phi_c, phi_q = evaluate(self, "val")
+        phase_to = maybe_advance(self, phi_c, phi_q).value
+        return {
+            "type": "guard",
+            "epoch": epoch + 1,
+            "client_id": self.client_id,
+            "phase_from": phase_from,
+            "phase_to": phase_to,
+            "phi_c": round(phi_c, 12),
+            "phi_q": round(phi_q, 12),
+        }
+
+    def upload(self) -> ParameterSet:
+        return self.deputy.parameters()
+
+    def receive(self, ps: ParameterSet) -> None:
+        on_receive(self, ps)
+
+    def models(self) -> Dict[str, Network]:
+        return {"deputy": self.deputy, "personalized": self.personalized}
 
 
 def on_receive(state: ClientState, aggregated: ParameterSet) -> None:
@@ -87,9 +111,7 @@ def train_batch(
     q, c = state.personalized, state.deputy
     q_teacher = q.forward(batch, train=False)
     c_teacher = c.forward(batch, train=False)
-    prox = None
-    if fedprox_mu > 0.0 and state.last_received is not None:
-        prox = (fedprox_mu, state.last_received)
+    prox = (fedprox_mu, state.last_received)
 
     if state.phase is CtoPhase.RETRIEVE:
         grads_q, probs_q = backward(q, batch, labels)
@@ -137,10 +159,7 @@ def maybe_advance(state: ClientState, phi_c: float, phi_q: float) -> CtoPhase:
 
 
 def evaluate(state: ClientState, split: str) -> Tuple[float, float]:
-    """Macro-F1 of deputy and personalized models on the given split.
-
-    Tracks the best-so-far personalized parameters by validation score.
-    """
+    """Macro-F1 of deputy and personalized models on the given split."""
     data = state.data.split(split)
     if len(data) == 0:
         raise DomainError(f"split {split!r} of client {state.client_id} is empty")
@@ -151,8 +170,4 @@ def evaluate(state: ClientState, split: str) -> Tuple[float, float]:
         preds = probs.argmax(axis=1)
         cm = metrics.confusion_matrix(data.labels, preds, classes)
         phis.append(metrics.macro_f1(cm))
-    phi_c, phi_q = phis
-    if split == "val" and phi_q > state.best_val:
-        state.best_val = phi_q
-        state.best_params = state.personalized.parameters()
-    return phi_c, phi_q
+    return phis[0], phis[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,9 +39,6 @@ class SplitData:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def class_counts(self, classes: int) -> List[int]:
-        return [int((self.labels == k).sum()) for k in range(classes)]
 
 
 @dataclass
@@ -78,9 +75,6 @@ class SynthSpec:
         if self.client_class_counts is None:
             return [list(row) for row in default_class_counts(4, 0.1)]
         return self.client_class_counts
-
-    def num_clients(self) -> int:
-        return len(self.resolved_counts())
 
 
 def default_class_counts(num_clients: int, scale: float) -> List[List[int]]:
@@ -249,7 +243,8 @@ def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # Dataset directory I/O
 #
 # Layout: <root>/client_<k>/images/*.fmmt plus <root>/client_<k>/labels.csv
-# with header filename,label,split.
+# with header filename,label,split. The decimal k is the client id; the ids
+# of a dataset run 0..N-1.
 
 
 def export_dataset(partitions: Sequence[ClientPartition], root) -> None:
@@ -274,15 +269,28 @@ def load_dataset(root) -> List[ClientPartition]:
     root = Path(root)
     if not root.is_dir():
         raise IngestionError(f"{root}: not a directory")
-    client_dirs = sorted(
-        (d for d in root.iterdir() if d.is_dir() and d.name.startswith("client_")),
-        key=lambda d: d.name,
-    )
+    client_dirs: Dict[int, Path] = {}
+    for d in root.iterdir():
+        if not (d.is_dir() and d.name.startswith("client_")):
+            continue
+        suffix = d.name[len("client_") :]
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise IngestionError(f"{d}: client id {suffix!r} is not an integer")
+        cid = int(suffix)
+        if cid in client_dirs:
+            raise IngestionError(f"{d}: duplicate client id {cid} ({client_dirs[cid].name})")
+        client_dirs[cid] = d
     if not client_dirs:
         raise IngestionError(f"{root}: no clients found")
+    missing = sorted(set(range(len(client_dirs))) - set(client_dirs))
+    if missing:
+        raise IngestionError(
+            f"{root}: client ids must run 0..{len(client_dirs) - 1}; missing {missing}"
+        )
     partitions = []
     shape = None
-    for cid, cdir in enumerate(client_dirs):
+    for cid in range(len(client_dirs)):
+        cdir = client_dirs[cid]
         manifest = cdir / "labels.csv"
         if not manifest.exists():
             raise IngestionError(f"{cdir}: missing labels.csv manifest")

@@ -5,30 +5,38 @@ the server merges uploads with either plain weighted averaging or the
 frequency-domain rule, optionally excluding batch-norm entries. Clients
 may train on a thread pool; per-client RNG streams and a fixed aggregation
 order keep results independent of scheduling.
+
+Every client, the baseline `_Client` here and the deputy machine
+`cto.ClientState`, offers one protocol to the round loop:
+
+  client_id, data, rng          identity, local splits, private RNG stream
+  step(images, labels, epoch, lr, mu)
+                                one local SGD update on a batch; `mu` is the
+                                FedProx weight toward the last received set
+  end_epoch(epoch)              per-epoch hook; returns an event dict or None
+  upload()                      the parameter set sent to the server
+  receive(ps)                   install a server aggregate
+  models()                      {name: Network} evaluated and checkpointed
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import cto, fmmt, metrics
-from .datasynth import ClientPartition, augment
-from .errors import CongruenceError, ConfigError, DomainError
+from .datasynth import SPLITS, ClientPartition, augment
+from .errors import ConfigError, DomainError
 from .nn import LrSchedule, Network, backward, build_network, cross_entropy, sgd_step
 from .spectral import CfaSchedule, cfa_aggregate, schedule_threshold
-from .tensors import ParamEntry, ParameterSet, require_all_congruent
-
-logger = logging.getLogger(__name__)
+from .tensors import ParameterSet, require_all_congruent
 
 AGGREGATORS = ("fedavg", "cfa")
 DOMAIN_MODES = ("complex", "amplitude_phase")
@@ -99,27 +107,16 @@ class MetricsRecord:
     loss: float
 
     def row(self) -> List[str]:
-        fmt = lambda v: f"{v:.12g}"
-        return [
-            str(self.round),
-            str(self.epoch),
-            str(self.client_id),
-            self.model,
-            self.split,
-            fmt(self.accuracy),
-            fmt(self.macro_f1),
-            fmt(self.macro_auc),
-            fmt(self.loss),
-        ]
+        scores = (self.accuracy, self.macro_f1, self.macro_auc, self.loss)
+        ids = (self.round, self.epoch, self.client_id, self.model, self.split)
+        return [str(v) for v in ids] + [f"{v:.12g}" for v in scores]
 
 
 @dataclass
 class RoundReport:
     round: int
     epoch: int
-    s_threshold: Optional[float]
     records: List[MetricsRecord]
-    agg_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -166,48 +163,38 @@ def _merge_retained(
 
 
 # ---------------------------------------------------------------------------
-# Client runtimes
+# Clients
 
 
 @dataclass
-class _BaselineClient:
+class _Client:
+    """Baseline client (FedAvg/FedProx/FedBN): one model the server overwrites."""
+
     client_id: int
     model: Network
     data: ClientPartition
+    rng: np.random.Generator
     last_received: Optional[ParameterSet] = None
 
+    def step(self, images, labels, epoch: int, lr: LrSchedule, mu: float) -> None:
+        grads, _ = backward(self.model, images, labels)
+        sgd_step(self.model, grads, epoch, lr, prox=(mu, self.last_received))
 
-@dataclass
-class _ClientRuntime:
-    client_id: int
-    rng: np.random.Generator
-    cto_state: Optional[cto.ClientState] = None
-    baseline: Optional[_BaselineClient] = None
-
-    @property
-    def data(self) -> ClientPartition:
-        holder = self.cto_state if self.cto_state is not None else self.baseline
-        return holder.data
+    def end_epoch(self, epoch: int) -> Optional[dict]:
+        return None
 
     def upload(self) -> ParameterSet:
-        if self.cto_state is not None:
-            return self.cto_state.deputy.parameters()
-        return self.baseline.model.parameters()
+        return self.model.parameters()
 
     def receive(self, ps: ParameterSet) -> None:
-        if self.cto_state is not None:
-            cto.on_receive(self.cto_state, ps)
-        else:
-            self.baseline.model.import_parameters(ps)
-            self.baseline.last_received = ps.copy()
+        self.model.import_parameters(ps)
+        self.last_received = ps.copy()
 
     def models(self) -> Dict[str, Network]:
-        if self.cto_state is not None:
-            return {
-                "deputy": self.cto_state.deputy,
-                "personalized": self.cto_state.personalized,
-            }
-        return {"model": self.baseline.model}
+        return {"model": self.model}
+
+
+Client = Union[_Client, cto.ClientState]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -217,45 +204,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def client_local_epoch(
-    runtime: _ClientRuntime, epoch: int, cfg: FederationConfig
+    client: Client, epoch: int, cfg: FederationConfig
 ) -> Optional[dict]:
-    """Train one local epoch; returns the guard event for CTO clients."""
-    train = runtime.data.train
+    """Train one local epoch; returns the client's end-of-epoch event."""
+    train = client.data.train
     n = len(train)
     if n == 0:
-        raise DomainError(f"client {runtime.client_id} has no training data")
-    for idx in _batches(n, cfg.batch_size, runtime.rng):
+        raise DomainError(f"client {client.client_id} has no training data")
+    for idx in _batches(n, cfg.batch_size, client.rng):
         images = train.images[idx]
         labels = train.labels[idx]
         if cfg.augment:
-            images = np.stack([augment(im, runtime.rng) for im in images])
-        if runtime.cto_state is not None:
-            cto.train_batch(
-                runtime.cto_state, images, labels, epoch, cfg.lr, cfg.fedprox_mu
-            )
-        else:
-            client = runtime.baseline
-            grads, _ = backward(client.model, images, labels)
-            prox = None
-            if cfg.fedprox_mu > 0 and client.last_received is not None:
-                prox = (cfg.fedprox_mu, client.last_received)
-            sgd_step(client.model, grads, epoch, cfg.lr, prox=prox)
-
-    if runtime.cto_state is None:
-        return None
-    state = runtime.cto_state
-    phase_from = state.phase.value
-    phi_c, phi_q = cto.evaluate(state, "val")
-    phase_to = cto.maybe_advance(state, phi_c, phi_q).value
-    return {
-        "type": "guard",
-        "epoch": epoch + 1,
-        "client_id": runtime.client_id,
-        "phase_from": phase_from,
-        "phase_to": phase_to,
-        "phi_c": round(phi_c, 12),
-        "phi_q": round(phi_q, 12),
-    }
+            images = np.stack([augment(im, client.rng) for im in images])
+        client.step(images, labels, epoch, cfg.lr, cfg.fedprox_mu)
+    return client.end_epoch(epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -264,42 +226,39 @@ def client_local_epoch(
 
 def _init_clients(
     cfg: FederationConfig, partitions: Sequence[ClientPartition], classes: int
-) -> List[_ClientRuntime]:
+) -> List[Client]:
     sample = partitions[0].train.images
     channels, height, width = sample.shape[1:]
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    base = build_network(cfg.arch, channels, height, width, classes, init_rng)
-    base_params = base.parameters()
+    base_params = build_network(
+        cfg.arch, channels, height, width, classes, init_rng
+    ).parameters()
 
-    runtimes = []
+    def network() -> Network:
+        """A fresh network (consuming init_rng) set to the shared start."""
+        net = build_network(cfg.arch, channels, height, width, classes, init_rng)
+        net.import_parameters(base_params)
+        return net
+
+    clients: List[Client] = []
     for part in partitions:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, part.client_id]))
         if cfg.cto_enabled:
-            q = build_network(cfg.arch, channels, height, width, classes, init_rng)
-            c = build_network(cfg.arch, channels, height, width, classes, init_rng)
-            q.import_parameters(base_params)
-            c.import_parameters(base_params)
-            state = cto.ClientState(
-                client_id=part.client_id,
-                personalized=q,
-                deputy=c,
-                data=part,
-                lambda1=cfg.lambda1,
-                lambda2=cfg.lambda2,
-                refine_trains_deputy=cfg.refine_trains_deputy,
-            )
-            runtimes.append(_ClientRuntime(part.client_id, rng, cto_state=state))
-        else:
-            model = build_network(cfg.arch, channels, height, width, classes, init_rng)
-            model.import_parameters(base_params)
-            runtimes.append(
-                _ClientRuntime(
-                    part.client_id,
-                    rng,
-                    baseline=_BaselineClient(part.client_id, model, part),
+            clients.append(
+                cto.ClientState(
+                    client_id=part.client_id,
+                    personalized=network(),
+                    deputy=network(),
+                    data=part,
+                    rng=rng,
+                    lambda1=cfg.lambda1,
+                    lambda2=cfg.lambda2,
+                    refine_trains_deputy=cfg.refine_trains_deputy,
                 )
             )
-    return runtimes
+        else:
+            clients.append(_Client(part.client_id, network(), part, rng))
+    return clients
 
 
 def _aggregate(
@@ -315,8 +274,7 @@ def _aggregate(
         retained_sets = None
 
     if len(shared_sets[0]) == 0:
-        merged = [u.copy() for u in uploads]  # everything retained: no-op
-        return merged
+        return [u.copy() for u in uploads]  # everything retained: no-op
 
     if cfg.aggregator == "fedavg":
         mean = fedavg_aggregate(shared_sets, weights)
@@ -333,12 +291,12 @@ def _aggregate(
 
 
 def _evaluate_round(
-    runtime: _ClientRuntime, round_idx: int, epoch: int, classes: int
+    client: Client, round_idx: int, epoch: int, classes: int
 ) -> List[MetricsRecord]:
     records = []
-    for model_name, net in runtime.models().items():
+    for model_name, net in client.models().items():
         for split in ("val", "test"):
-            data = runtime.data.split(split)
+            data = client.data.split(split)
             if len(data) == 0:
                 continue
             probs = net.forward(data.images)
@@ -352,7 +310,7 @@ def _evaluate_round(
                 MetricsRecord(
                     round=round_idx,
                     epoch=epoch,
-                    client_id=runtime.client_id,
+                    client_id=client.client_id,
                     model=model_name,
                     split=split,
                     accuracy=metrics.accuracy(cm),
@@ -377,13 +335,13 @@ def _max_workers(n_clients: int) -> int:
     return max(1, min(cap, n_clients))
 
 
-def _write_checkpoint(out_dir: Path, round_idx: int, runtime: _ClientRuntime) -> None:
-    for model_name, net in runtime.models().items():
+def _write_checkpoint(out_dir: Path, round_idx: int, client: Client) -> None:
+    for model_name, net in client.models().items():
         cdir = (
             out_dir
             / "checkpoints"
             / f"round_{round_idx:03d}"
-            / f"client_{runtime.client_id}"
+            / f"client_{client.client_id}"
             / model_name
         )
         cdir.mkdir(parents=True, exist_ok=True)
@@ -413,21 +371,15 @@ def run_experiment(
             f"{len(partitions)} partitions for num_clients={cfg.num_clients}"
         )
     if classes is None:
-        classes = (
-            int(
-                max(
-                    max(p.split(s).labels.max() for s in ("train", "val", "test") if len(p.split(s)))
-                    for p in partitions
-                )
-            )
-            + 1
+        classes = 1 + max(
+            int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
         )
     if cfg.augment:
         sample = partitions[0].train.images
         if sample.shape[-1] != sample.shape[-2]:
             raise ConfigError("augmentation requires square images")
 
-    runtimes = _init_clients(cfg, partitions, classes)
+    clients = _init_clients(cfg, partitions, classes)
     weights = [len(p.train) for p in partitions]
     workers = _max_workers(cfg.num_clients)
     events: List[dict] = []
@@ -436,32 +388,18 @@ def run_experiment(
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for epoch in range(cfg.total_epochs):
-            if pool is not None:
-                epoch_events = list(
-                    pool.map(
-                        lambda rt: client_local_epoch(rt, epoch, cfg), runtimes
-                    )
-                )
-            else:
-                epoch_events = [
-                    client_local_epoch(rt, epoch, cfg) for rt in runtimes
-                ]
+            run = pool.map if pool is not None else map
+            epoch_events = list(run(lambda c: client_local_epoch(c, epoch, cfg), clients))
             events.extend(ev for ev in epoch_events if ev is not None)
 
             if (epoch + 1) % cfg.comm_interval != 0:
                 continue
             round_idx = (epoch + 1) // cfg.comm_interval
-            s = (
-                schedule_threshold(cfg.cfa, epoch + 1)
-                if cfg.aggregator == "cfa"
-                else None
-            )
-            t0 = time.perf_counter()
-            uploads = [rt.upload() for rt in runtimes]
+            s = schedule_threshold(cfg.cfa, epoch + 1) if cfg.aggregator == "cfa" else None
+            uploads = [c.upload() for c in clients]
             new_sets = _aggregate(cfg, uploads, weights, s if s is not None else 0.0)
-            agg_seconds = time.perf_counter() - t0
-            for rt, ps in zip(runtimes, new_sets):
-                rt.receive(ps)
+            for c, ps in zip(clients, new_sets):
+                c.receive(ps)
             events.append(
                 {
                     "type": "aggregation",
@@ -471,12 +409,12 @@ def run_experiment(
                 }
             )
             records = []
-            for rt in runtimes:
-                records.extend(_evaluate_round(rt, round_idx, epoch + 1, classes))
-            reports.append(RoundReport(round_idx, epoch + 1, s, records, agg_seconds))
+            for c in clients:
+                records.extend(_evaluate_round(c, round_idx, epoch + 1, classes))
+            reports.append(RoundReport(round_idx, epoch + 1, records))
             if out_dir is not None and cfg.save_checkpoints:
-                for rt in runtimes:
-                    _write_checkpoint(Path(out_dir), round_idx, rt)
+                for c in clients:
+                    _write_checkpoint(Path(out_dir), round_idx, c)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CongruenceError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .tensors import (
     ParameterSet,
     matrix_to_conv,
@@ -180,9 +180,22 @@ _IMAG_TOL = 1e-9
 
 
 def _circular_mean(phases: np.ndarray) -> np.ndarray:
-    """Angle of the mean unit phasor; exact-zero resultants get phase 0."""
+    """Angle of the mean unit phasor over axis 0 of [clients, rows, cols].
+
+    At the self-conjugate bins (index 0 and, for even lengths, n/2 on each
+    axis) every client's coefficient is real, so the mean phase is 0 or pi
+    by the sign of the mean phasor's real part: where the clients' phasors
+    cancel, the angle of the rounding residue would be +-pi/2.
+    """
     z = np.exp(1j * phases).mean(axis=0)
-    return np.angle(z)
+    angle = np.angle(z)
+    rows, cols = z.shape
+    self_conj = np.ix_(
+        [0, rows // 2] if rows % 2 == 0 else [0],
+        [0, cols // 2] if cols % 2 == 0 else [0],
+    )
+    angle[self_conj] = np.where(z[self_conj].real < 0.0, np.pi, 0.0)
+    return angle
 
 
 def _combine_spectra(

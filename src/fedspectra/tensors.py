@@ -8,8 +8,8 @@ matrix consumed by the frequency-domain aggregator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -24,11 +24,6 @@ def as_tensor(data, shape=None) -> np.ndarray:
     if shape is not None:
         arr = arr.reshape(shape)
     return arr
-
-
-def assert_finite(arr: np.ndarray, context: str = "tensor") -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{context} contains non-finite values")
 
 
 def kind_of(arr: np.ndarray) -> str:
@@ -64,13 +59,6 @@ def matrix_to_conv(m: np.ndarray, a: int, b: int, c1: int, c2: int) -> np.ndarra
             f"matrix shape {m.shape} not divisible as ({a}*{c1}, {b}*{c2})"
         )
     return np.ascontiguousarray(m.reshape(a, c1, b, c2).transpose(0, 2, 1, 3))
-
-
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """a*x + y over congruent tensors."""
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
 
 
 def tensor_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:

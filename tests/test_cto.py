@@ -235,12 +235,6 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(state, "test")
 
-    def test_best_checkpoint_tracked(self, rng):
-        state = make_state(rng)
-        evaluate(state, "val")
-        assert state.best_params is not None
-        assert state.best_val >= 0.0
-
 
 def metric_expected(label, classes):
     # one present class predicted perfectly: that class scores F1=1,

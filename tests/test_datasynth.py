@@ -206,3 +206,33 @@ class TestDatasetIo:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestionError, match="label"):
             load_dataset(tmp_path / "data")
+
+    def test_roundtrip_twelve_clients_keeps_ids(self, tmp_path):
+        # as text, client_10 and client_11 sort before client_2
+        n = 12
+        brightness, contrast = default_style(n)
+        spec = small_spec(
+            client_class_counts=[[4, 3, 3]] * n, brightness=brightness, contrast=contrast
+        )
+        parts = generate(spec)
+        export_dataset(parts, tmp_path / "data")
+        loaded = load_dataset(tmp_path / "data")
+        assert [p.client_id for p in loaded] == list(range(n))
+        for pa, pb in zip(parts, loaded):
+            for split in ("train", "val", "test"):
+                assert np.array_equal(pa.split(split).images, pb.split(split).images)
+                assert np.array_equal(pa.split(split).labels, pb.split(split).labels)
+
+    @pytest.mark.parametrize(
+        "rename,match",
+        [
+            ("client_5", "missing \\[1\\]"),
+            ("client_00", "duplicate client id 0"),
+            ("client_x", "not an integer"),
+        ],
+    )
+    def test_bad_client_numbering_rejected(self, tmp_path, rename, match):
+        export_dataset(generate(small_spec()), tmp_path / "data")
+        (tmp_path / "data" / "client_1").rename(tmp_path / "data" / rename)
+        with pytest.raises(IngestionError, match=match):
+            load_dataset(tmp_path / "data")

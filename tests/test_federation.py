@@ -3,16 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from fedspectra import cto
 from fedspectra.datasynth import SynthSpec, generate
 from fedspectra.errors import ConfigError, DomainError
 from fedspectra.federation import (
     FederationConfig,
+    _Client,
     fedavg_aggregate,
     fedbn_filter,
     run_experiment,
     _batches,
 )
-from fedspectra.nn import build_network
+from fedspectra.nn import LrSchedule, backward, build_network
 from fedspectra.spectral import CfaSchedule, schedule_threshold
 from fedspectra.tensors import ParamEntry, ParameterSet
 
@@ -304,3 +306,81 @@ class TestRunExperiment:
             for fname in bn_files
         )
         assert any_bn_differs
+
+
+def _twin(net):
+    twin = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(0))
+    twin.import_parameters(net.parameters())
+    return twin
+
+
+def _sgd_oracle(start, grads, lr, mu=0.0, anchor=None):
+    """w - lr * (g + mu * (w - anchor)); plain SGD without mu or anchor."""
+    out = {}
+    for g in grads.entries:
+        w = start.get(g.name).tensor
+        if mu != 0.0 and anchor is not None:
+            out[g.name] = w - lr * (g.tensor + mu * (w - anchor.get(g.name).tensor))
+        else:
+            out[g.name] = w - lr * g.tensor
+    return out
+
+
+def _assert_params(net, expected):
+    for name, tensor in expected.items():
+        assert np.array_equal(net.parameters().get(name).tensor, tensor), name
+
+
+class TestFedProx:
+    LR = LrSchedule(0.1)
+
+    def _setup(self, seed=3):
+        part = tiny_partitions(n_clients=1)[0]
+        init = np.random.default_rng(seed)
+        nets = [build_network("tiny_mlp", 1, 8, 8, 3, init) for _ in range(2)]
+        anchor = nets[1].parameters()
+        for e in anchor.entries:
+            e.tensor = e.tensor + 0.25
+        return part, nets, anchor
+
+    @pytest.mark.parametrize("mu,anchored", [(0.5, True), (0.0, True), (0.5, False)])
+    def test_client_step_oracle(self, mu, anchored):
+        part, (net, _), anchor = self._setup()
+        anchor = anchor if anchored else None
+        images, labels = part.train.images[:8], part.train.labels[:8]
+        start = net.parameters()
+        grads, _ = backward(_twin(net), images, labels)
+        client = _Client(0, net, part, np.random.default_rng(0), last_received=anchor)
+        client.step(images, labels, 0, self.LR, mu)
+        _assert_params(net, _sgd_oracle(start, grads, self.LR.at(0), mu, anchor))
+
+    @pytest.mark.parametrize("phase", list(cto.CtoPhase))
+    def test_cto_step_oracle(self, phase):
+        part, (q, c), anchor = self._setup()
+        mu = 0.5
+        images, labels = part.train.images[:8], part.train.labels[:8]
+        q_start, c_start = q.parameters(), c.parameters()
+        q_teacher = _twin(q).forward(images, train=False)
+        c_teacher = _twin(c).forward(images, train=False)
+        refine = phase is cto.CtoPhase.REFINE
+        retrieve = phase is cto.CtoPhase.RETRIEVE
+        grads_c, _ = backward(_twin(c), images, labels, None if refine else q_teacher)
+        grads_q, _ = backward(_twin(q), images, labels, None if retrieve else c_teacher)
+        state = cto.ClientState(0, q, c, part, phase=phase, last_received=anchor)
+        state.step(images, labels, 0, self.LR, mu)
+        # the deputy is pulled toward the anchor; the personalized model never is
+        _assert_params(c, _sgd_oracle(c_start, grads_c, self.LR.at(0), mu, anchor))
+        _assert_params(q, _sgd_oracle(q_start, grads_q, self.LR.at(0)))
+
+    @pytest.mark.parametrize("cto_enabled", [False, True])
+    def test_no_anchor_before_first_receive(self, tmp_path, cto_enabled):
+        rounds = {}
+        for mu in (0.0, 1.0):
+            cfg = tiny_config(
+                cto_enabled=cto_enabled, fedprox_mu=mu, comm_interval=2, total_epochs=4
+            )
+            run_experiment(cfg, tiny_partitions(), out_dir=tmp_path / f"mu{mu}")
+            lines = (tmp_path / f"mu{mu}" / "metrics.csv").read_text().splitlines()[1:]
+            rounds[mu] = [[l for l in lines if l.startswith(f"{r},")] for r in (1, 2)]
+        assert rounds[0.0][0] and rounds[0.0][0] == rounds[1.0][0]
+        assert rounds[0.0][1] != rounds[1.0][1]

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import naive_dft2
 from fedspectra.errors import CongruenceError, DomainError, ShapeError
+from fedspectra.nn import build_network
 from fedspectra.spectral import (
     CfaSchedule,
     build_mask,
@@ -221,6 +222,34 @@ class TestCfaAggregate:
         outs = cfa_aggregate([base.copy(), base.copy()], 0.3, domain_mode="amplitude_phase")
         for out in outs:
             assert out.allclose(base, atol=1e-9)
+
+    def test_amplitude_phase_opposite_signs_stay_real(self):
+        # one nonzero bin (DC): coefficients 16 and -32 cancel as phasors,
+        # so the shared DC takes the mean amplitude 24 with phase 0 or pi
+        outs = cfa_aggregate(
+            [_set_of([np.full((4, 4), 1.0)]), _set_of([np.full((4, 4), -2.0)])],
+            0.3,
+            domain_mode="amplitude_phase",
+        )
+        for out in outs:
+            t = out.entries[0].tensor
+            assert np.isrealobj(t)
+            assert np.allclose(np.abs(t), 1.5, rtol=0.0, atol=1e-12)
+            assert np.all(t == t[0, 0])
+
+    def test_amplitude_phase_dc_sign_follows_majority(self):
+        # phasors +1, +1, -1: mean phase 0, mean amplitude (16+16+32)/3
+        sets = [_set_of([np.full((4, 4), v)]) for v in (1.0, 1.0, -2.0)]
+        for out in cfa_aggregate(sets, 0.3, domain_mode="amplitude_phase"):
+            assert np.allclose(out.entries[0].tensor, 4.0 / 3.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(100, 105))
+    def test_amplitude_phase_fresh_smallcnn_uploads(self, seed):
+        init = np.random.default_rng(seed)
+        sets = [build_network("smallcnn", 1, 32, 32, 3, init).parameters() for _ in range(4)]
+        for out in cfa_aggregate(sets, 0.3, domain_mode="amplitude_phase"):
+            for e in out.entries:
+                assert np.isrealobj(e.tensor) and np.all(np.isfinite(e.tensor))
 
     def test_saturated_threshold_equals_fedavg(self, rng):
         # s >= 0.5 saturates the wrapped interval: whole spectrum shared

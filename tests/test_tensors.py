@@ -5,7 +5,6 @@ from fedspectra.errors import CongruenceError, DomainError, ShapeError
 from fedspectra.tensors import (
     ParamEntry,
     ParameterSet,
-    axpy,
     matrix_to_conv,
     reshape_conv_to_matrix,
     tensor_mean,
@@ -61,10 +60,6 @@ class TestElementwise:
         out = tensor_mean([np.array([1.0, 3.0]), np.array([5.0, 7.0])])
         assert np.array_equal(out, [3.0, 5.0])
 
-    def test_axpy(self):
-        out = axpy(2.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-        assert np.array_equal(out, [2.0, 3.0])
-
     def test_mean_of_copies_is_identity(self, rng):
         t = rng.normal(size=(4, 3))
         out = tensor_mean([t.copy() for _ in range(5)])
@@ -82,7 +77,7 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            axpy(1.0, np.zeros(2), np.zeros(3))
+            tensor_mean([np.zeros(2), np.zeros(3)])
 
 
 class TestParameterSet:
