@@ -104,13 +104,17 @@ def train_batch(
 ) -> Tuple[float, float]:
     """One phase-dependent update on both models; returns (loss_q, loss_c).
 
-    Teacher distributions are taken before either model updates and are
-    constants during differentiation. The optional proximal term anchors
-    the deputy to the last received server parameters.
+    Teacher distributions are taken before either model updates, only for
+    the models whose teacher output the phase reads (q's in retrieve, c's
+    in refine, both in reciprocate), and are constants during
+    differentiation. The optional proximal term anchors the deputy to the
+    last received server parameters.
     """
     q, c = state.personalized, state.deputy
-    q_teacher = q.forward(batch, train=False)
-    c_teacher = c.forward(batch, train=False)
+    if state.phase is not CtoPhase.REFINE:
+        q_teacher = q.forward(batch, train=False)
+    if state.phase is not CtoPhase.RETRIEVE:
+        c_teacher = c.forward(batch, train=False)
     prox = (fedprox_mu, state.last_received)
 
     if state.phase is CtoPhase.RETRIEVE:
@@ -163,11 +167,9 @@ def evaluate(state: ClientState, split: str) -> Tuple[float, float]:
     data = state.data.split(split)
     if len(data) == 0:
         raise DomainError(f"split {split!r} of client {state.client_id} is empty")
-    classes = state.personalized.forward(data.images[:1]).shape[1]
     phis = []
     for model in (state.deputy, state.personalized):
         probs = model.forward(data.images)
-        preds = probs.argmax(axis=1)
-        cm = metrics.confusion_matrix(data.labels, preds, classes)
+        cm = metrics.confusion_matrix(data.labels, probs.argmax(axis=1), probs.shape[1])
         phis.append(metrics.macro_f1(cm))
     return phis[0], phis[1]

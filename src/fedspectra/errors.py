@@ -23,3 +23,7 @@ class ConfigError(FedSpectraError, ValueError):
 
 class IngestionError(FedSpectraError, ValueError):
     """Dataset or tensor file could not be read."""
+
+
+class NonFiniteError(FedSpectraError, ValueError):
+    """A tensor holds NaN or infinity where finite values are required."""

@@ -6,6 +6,15 @@ the inverse divides by rows*cols. Power-of-two axis lengths take an
 iterative radix-2 path; every other length goes through Bluestein's
 chirp-z algorithm (so arbitrary layer shapes are supported). A naive
 direct-summation DFT lives in the test suite as the independent oracle.
+
+Complex-mode aggregation is linear and its mask is the outer product of
+two k -> -k symmetric axis selections, so it runs as a separable real
+low-pass filter: out_k = X_k - A_r X_k A_c + L, with A_r and A_c real
+symmetric circulant matrices built from the inverse transform of each
+axis selection and L the masked low band of the client mean. One 2-D
+transform pair per entry serves all clients. amplitude_phase mode
+(nonlinear) and an explicit mask override (not always separable)
+transform each client's spectrum instead.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NonFiniteError, ShapeError
 from .tensors import (
     ParameterSet,
     matrix_to_conv,
@@ -123,17 +132,22 @@ def from_amplitude_phase(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray
 # Low-frequency mask and cumulative schedule
 
 
+def _axis_selection(n: int, s: float) -> np.ndarray:
+    """Wrapped frequency indices within +-floor(s*n) of DC on one axis.
+
+    The selection is symmetric under k -> -k (mod n); for s >= 0.5 it
+    covers the whole axis.
+    """
+    h = int(np.floor(s * n))
+    k = np.arange(n)
+    return (k <= h) | (k >= n - h)
+
+
 def _mask_saturating(rows: int, cols: int, s: float) -> np.ndarray:
-    """Wrapped-interval mask; for s >= 0.5 the interval covers the whole axis."""
+    """Wrapped-interval mask: the outer product of the two axis selections."""
     if rows < 1 or cols < 1:
         raise ShapeError("mask dimensions must be positive")
-    hr = int(np.floor(s * rows))
-    hc = int(np.floor(s * cols))
-    r = np.arange(rows)
-    c = np.arange(cols)
-    row_sel = (r <= hr) | (r >= rows - hr)
-    col_sel = (c <= hc) | (c >= cols - hc)
-    return row_sel[:, None] & col_sel[None, :]
+    return _axis_selection(rows, s)[:, None] & _axis_selection(cols, s)[None, :]
 
 
 def build_mask(rows: int, cols: int, s: float) -> np.ndarray:
@@ -198,18 +212,57 @@ def _circular_mean(phases: np.ndarray) -> np.ndarray:
     return angle
 
 
-def _combine_spectra(
-    spectra: List[np.ndarray], mask: np.ndarray, domain_mode: str
+def _real_part(back: np.ndarray) -> np.ndarray:
+    """Real part of an inverse transform whose spectrum should be
+    conjugate-symmetric; a larger imaginary residue than rounding raises."""
+    scale = max(np.abs(back.real).max(), 1.0)
+    if np.abs(back.imag).max() > _IMAG_TOL * scale:
+        raise ShapeError(
+            "aggregated spectrum lost conjugate symmetry "
+            f"(imag residue {np.abs(back.imag).max():.3e})"
+        )
+    return back.real
+
+
+def _require_finite(name: str, stack: np.ndarray) -> None:
+    """Raise NonFiniteError naming the entry and the first client whose
+    upload (axis 0 of `stack`) holds a NaN or an infinity."""
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteError(f"entry {name!r}: client {bad} uploaded non-finite values")
+
+
+def _low_pass_matrix(n: int, s: float) -> np.ndarray:
+    """Real symmetric circulant A with A @ x == ifft(selection * fft(x)) for
+    a length-n axis; its kernel is the inverse transform of the selection."""
+    kernel = ifft2d_complex(_axis_selection(n, s)[:, None])[:, 0].real
+    k = np.arange(n)
+    return kernel[(k[:, None] - k[None, :]) % n]
+
+
+def _filter_complex(stack: np.ndarray, s: float) -> np.ndarray:
+    """Complex-mode CFA of [clients, rows, cols] uploads:
+    X_k - A_r X_k A_c + L, with L the low band of the client mean."""
+    rows, cols = stack.shape[1:]
+    spec = fft2d(stack.mean(axis=0))
+    low = _real_part(ifft2d_complex(np.where(_mask_saturating(rows, cols, s), spec, 0)))
+    own_low = _low_pass_matrix(rows, s) @ stack @ _low_pass_matrix(cols, s)
+    return stack - own_low + low
+
+
+def _per_client_fft(
+    stack: np.ndarray, mask: np.ndarray, domain_mode: str
 ) -> List[np.ndarray]:
-    stack = np.stack(spectra)
+    """Replace each client's masked coefficients by the shared spectrum,
+    one 2-D transform pair per client."""
+    spectra = np.stack([fft2d(m) for m in stack])
     if domain_mode == "complex":
-        shared = stack.mean(axis=0)
-    elif domain_mode == "amplitude_phase":
-        amp = np.abs(stack).mean(axis=0)
-        shared = from_amplitude_phase(amp, _circular_mean(np.angle(stack)))
+        shared = spectra.mean(axis=0)
     else:
-        raise DomainError(f"unknown domain_mode {domain_mode!r}")
-    return [np.where(mask, shared, spec) for spec in spectra]
+        amp = np.abs(spectra).mean(axis=0)
+        shared = from_amplitude_phase(amp, _circular_mean(np.angle(spectra)))
+    return [_real_part(ifft2d_complex(np.where(mask, shared, spec))) for spec in spectra]
 
 
 def cfa_aggregate(
@@ -224,17 +277,22 @@ def cfa_aggregate(
     coefficients inside the low-frequency mask are replaced by the
     cross-client mean; each client keeps its own coefficients outside the
     mask. Dense matrices are transformed as-is; 1-D parameters are merged
-    by plain mean. `mask_override` is a test hook (s < 0.5 can never
-    produce a full mask).
+    by plain mean. Complex mode runs as a separable real filter on the
+    stacked uploads; amplitude_phase mode and `mask_override` (a test hook:
+    s < 0.5 can never produce a full mask) transform each client. A
+    non-finite upload raises NonFiniteError.
     """
     require_all_congruent(client_sets)
     if mask_override is None and not (0.0 < s < 1.0):
         raise DomainError(f"threshold s={s} outside (0, 1)")
-    n_clients = len(client_sets)
+    if domain_mode not in ("complex", "amplitude_phase"):
+        raise DomainError(f"unknown domain_mode {domain_mode!r}")
     outputs = [cs.copy() for cs in client_sets]
 
     for idx, proto in enumerate(client_sets[0].entries):
         tensors = [cs.entries[idx].tensor for cs in client_sets]
+        stack = np.stack(tensors)
+        _require_finite(proto.name, stack)
         if proto.kind == "vector1d":
             merged = tensor_mean(tensors)
             for out in outputs:
@@ -243,31 +301,19 @@ def cfa_aggregate(
 
         if proto.kind == "conv4d":
             a, b, c1, c2 = proto.tensor.shape
-            mats = [reshape_conv_to_matrix(t) for t in tensors]
-        else:
-            mats = [np.asarray(t, dtype=np.float64) for t in tensors]
+            stack = np.stack([reshape_conv_to_matrix(t) for t in tensors])
 
-        rows, cols = mats[0].shape
-        mask = (
-            mask_override
-            if mask_override is not None
-            else _mask_saturating(rows, cols, s)
-        )
-        if mask.shape != (rows, cols):
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match spectrum {(rows, cols)}"
-            )
-        spectra = [fft2d(m) for m in mats]
-        combined = _combine_spectra(spectra, mask, domain_mode)
-        for out, spec in zip(outputs, combined):
-            back = ifft2d_complex(spec)
-            scale = max(np.abs(back.real).max(), 1.0)
-            if np.abs(back.imag).max() > _IMAG_TOL * scale:
+        rows, cols = stack.shape[1:]
+        if domain_mode == "complex" and mask_override is None:
+            results = _filter_complex(stack, s)
+        else:
+            mask = _mask_saturating(rows, cols, s) if mask_override is None else mask_override
+            if mask.shape != (rows, cols):
                 raise ShapeError(
-                    "aggregated spectrum lost conjugate symmetry "
-                    f"(imag residue {np.abs(back.imag).max():.3e})"
+                    f"mask shape {mask.shape} does not match spectrum {(rows, cols)}"
                 )
-            real = back.real
+            results = _per_client_fft(stack, mask, domain_mode)
+        for out, real in zip(outputs, results):
             if proto.kind == "conv4d":
                 real = matrix_to_conv(real, a, b, c1, c2)
             out.entries[idx].tensor = real

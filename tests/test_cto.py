@@ -5,7 +5,7 @@ from fedspectra import cto
 from fedspectra.cto import ClientState, CtoPhase, evaluate, maybe_advance, on_receive, train_batch
 from fedspectra.datasynth import ClientPartition, SplitData
 from fedspectra.errors import DomainError
-from fedspectra.nn import LrSchedule, backward, build_network, cross_entropy, kl_divergence, sgd_step
+from fedspectra.nn import LrSchedule, Network, backward, build_network, cross_entropy, kl_divergence, sgd_step
 
 
 def toy_partition(rng, n_train=20, n_val=9, n_test=9, size=8):
@@ -15,6 +15,21 @@ def toy_partition(rng, n_train=20, n_val=9, n_test=9, size=8):
         return SplitData(images, labels)
 
     return ClientPartition(0, split(n_train), split(n_val), split(n_test))
+
+
+def record_eval_forwards(monkeypatch, state):
+    """Log (model, batch length) for every eval-mode forward pass."""
+    names = {id(state.personalized): "q", id(state.deputy): "c"}
+    seen = []
+    forward = Network.forward
+
+    def logged(net, batch, train=False):
+        if not train:
+            seen.append((names[id(net)], len(batch)))
+        return forward(net, batch, train)
+
+    monkeypatch.setattr(Network, "forward", logged)
+    return seen
 
 
 def make_state(rng, lambda1=0.6, lambda2=0.8, **kw):
@@ -139,6 +154,31 @@ class TestTrainBatch:
         train_batch(state, batch, labels, 0, LrSchedule())
         assert state.deputy.parameters().identical(c_before)
 
+    @pytest.mark.parametrize(
+        "phase,teachers",
+        [
+            (CtoPhase.RETRIEVE, ["q"]),
+            (CtoPhase.RECIPROCATE, ["q", "c"]),
+            (CtoPhase.REFINE, ["c"]),
+        ],
+    )
+    @pytest.mark.parametrize("refine_trains_deputy", [True, False])
+    def test_only_read_teachers_run(self, rng, monkeypatch, phase, teachers, refine_trains_deputy):
+        state = make_state(rng, refine_trains_deputy=refine_trains_deputy)
+        state.phase = phase
+        batch, labels = self._batch(rng)
+        seen = record_eval_forwards(monkeypatch, state)
+        train_batch(state, batch, labels, 0, LrSchedule())
+        assert seen == [(t, len(batch)) for t in teachers]
+
+    def test_refine_frozen_deputy_loss_uses_teacher(self, rng):
+        state = make_state(rng, refine_trains_deputy=False)
+        state.phase = CtoPhase.REFINE
+        batch, labels = self._batch(rng)
+        expected = cross_entropy(state.deputy.forward(batch), labels)
+        _, loss_c = train_batch(state, batch, labels, 0, LrSchedule())
+        assert loss_c == expected
+
     def test_retrieve_q_update_independent_of_deputy(self, rng):
         # in retrieve, q trains with plain CE: its update must not depend on c
         batch = rng.normal(size=(6, 1, 8, 8))
@@ -227,6 +267,12 @@ class TestEvaluate:
         phi_c, phi_q = evaluate(state, "val")
         # all predictions hit the single present class
         assert phi_q == pytest.approx(metric_expected(forced, probs.shape[1]))
+
+    def test_one_full_split_forward_per_model(self, rng, monkeypatch):
+        state = make_state(rng)
+        seen = record_eval_forwards(monkeypatch, state)
+        evaluate(state, "val")
+        assert seen == [("c", len(state.data.val)), ("q", len(state.data.val))]
 
     def test_empty_split_rejected(self, rng):
         state = make_state(rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_dft2
-from fedspectra.errors import CongruenceError, DomainError, ShapeError
+from fedspectra.errors import CongruenceError, DomainError, NonFiniteError, ShapeError
 from fedspectra.nn import build_network
 from fedspectra.spectral import (
     CfaSchedule,
@@ -273,3 +273,87 @@ class TestCfaAggregate:
         a = _set_of([rng.normal(size=(2, 2))])
         with pytest.raises(DomainError):
             cfa_aggregate([a], 0.0)
+
+
+def _wrapped_mask(rows, cols, s):
+    """Independent wrapped low-frequency mask: |k| <= floor(s*n) per axis."""
+    def axis(n):
+        h = int(np.floor(s * n))
+        return np.array([min(k, n - k) <= h for k in range(n)])
+
+    return np.outer(axis(rows), axis(cols))
+
+
+class TestCfaFilterForm:
+    """Complex-mode CFA runs as a separable real filter; the per-client FFT
+    form (reached through mask_override with the same mask) is its oracle."""
+
+    @staticmethod
+    def _check_against_fft_form(sets, s):
+        outs = cfa_aggregate(sets, s)
+        for idx, proto in enumerate(sets[0].entries):
+            shape = proto.tensor.shape
+            rows, cols = (shape[0] * shape[2], shape[1] * shape[3]) if proto.kind == "conv4d" else shape
+            fft_outs = cfa_aggregate(sets, s, mask_override=_wrapped_mask(rows, cols, s))
+            scale = max(1.0, max(np.abs(cs.entries[idx].tensor).max() for cs in sets))
+            for out, ref in zip(outs, fft_outs):
+                got = out.entries[idx].tensor
+                assert got.dtype == np.float64 and got.shape == shape
+                assert np.abs(got - ref.entries[idx].tensor).max() <= 1e-12 * scale
+            mean_in = np.mean([cs.entries[idx].tensor for cs in sets], axis=0)
+            mean_out = np.mean([out.entries[idx].tensor for out in outs], axis=0)
+            assert np.abs(mean_out - mean_in).max() <= 1e-12 * scale
+        return outs
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 9), (9, 1), (5, 7), (12, 10), (3, 3, 3, 5), (16, 8, 3, 3)]
+    )
+    @pytest.mark.parametrize("n_clients", [1, 2, 5])
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.45])
+    def test_matches_fft_form(self, shape, n_clients, s, rng):
+        sets = [_set_of([rng.normal(size=shape)]) for _ in range(n_clients)]
+        self._check_against_fft_form(sets, s)
+
+    def test_matches_fft_form_fc1_shape(self, rng):
+        # 576 = 9 * 64: the Bluestein path on the long axis
+        sets = [_set_of([rng.normal(size=(64, 576))]) for _ in range(5)]
+        self._check_against_fft_form(sets, 0.3)
+
+    @pytest.mark.parametrize("s", [0.5, 0.55, 0.9])
+    @pytest.mark.parametrize("shape", [(1, 9), (6, 7), (2, 3, 3, 3)])
+    def test_saturated_threshold_is_plain_mean(self, shape, s, rng):
+        sets = [_set_of([rng.normal(size=shape)]) for _ in range(3)]
+        outs = self._check_against_fft_form(sets, s)
+        mean = np.mean([cs.entries[0].tensor for cs in sets], axis=0)
+        for out in outs:
+            assert np.abs(out.entries[0].tensor - mean).max() <= 1e-12 * max(1.0, np.abs(mean).max())
+
+
+class TestCfaNonFinite:
+    @staticmethod
+    def _smallcnn_sets(n):
+        init = np.random.default_rng(7)
+        return [build_network("smallcnn", 1, 32, 32, 3, init).parameters() for _ in range(n)]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"domain_mode": "amplitude_phase"}], ids=["filter", "fft"]
+    )
+    def test_non_finite_upload_names_entry_and_client(self, kwargs, value):
+        sets = self._smallcnn_sets(4)
+        sets[2].get("fc1.weight").tensor[3, 5] = value
+        sets[3].get("fc1.weight").tensor[0, 0] = value
+        with pytest.raises(NonFiniteError, match=r"'fc1\.weight'.*client 2"):
+            cfa_aggregate(sets, 0.3, **kwargs)
+
+    def test_non_finite_vector_entry(self):
+        sets = self._smallcnn_sets(2)
+        sets[0].get("fc1.bias").tensor[0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"'fc1\.bias'.*client 0"):
+            cfa_aggregate(sets, 0.3)
+
+    def test_mask_override_path_checked(self, rng):
+        sets = [_set_of([rng.normal(size=(4, 4))]) for _ in range(2)]
+        sets[1].entries[0].tensor[2, 2] = np.nan
+        with pytest.raises(NonFiniteError, match="client 1"):
+            cfa_aggregate(sets, 0.3, mask_override=np.ones((4, 4), dtype=bool))
