@@ -87,10 +87,10 @@ class ClientState:
 
 
 def on_receive(state: ClientState, aggregated: ParameterSet) -> None:
-    """Install server parameters into the deputy and reset to retrieve."""
-    state.deputy.parameters().require_congruent(aggregated)
+    """Install server parameters into the deputy and reset to retrieve;
+    the aggregate itself, shared and only read, becomes the FedProx anchor."""
     state.deputy.import_parameters(aggregated)
-    state.last_received = aggregated.copy()
+    state.last_received = aggregated
     state.phase = CtoPhase.RETRIEVE
 
 
@@ -118,31 +118,31 @@ def train_batch(
     prox = (fedprox_mu, state.last_received)
 
     if state.phase is CtoPhase.RETRIEVE:
-        grads_q, probs_q = backward(q, batch, labels)
-        sgd_step(q, grads_q, epoch, lr_sch)
+        probs_q = backward(q, batch, labels)
+        sgd_step(q, epoch, lr_sch)
         loss_q = cross_entropy(probs_q, labels)
 
-        grads_c, probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
-        sgd_step(c, grads_c, epoch, lr_sch, prox=prox)
+        probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
+        sgd_step(c, epoch, lr_sch, prox=prox)
         loss_c = cross_entropy(probs_c, labels) + kl_divergence(q_teacher, probs_c)
 
     elif state.phase is CtoPhase.RECIPROCATE:
-        grads_c, probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
-        sgd_step(c, grads_c, epoch, lr_sch, prox=prox)
+        probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
+        sgd_step(c, epoch, lr_sch, prox=prox)
         loss_c = cross_entropy(probs_c, labels) + kl_divergence(q_teacher, probs_c)
 
-        grads_q, probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
-        sgd_step(q, grads_q, epoch, lr_sch)
+        probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
+        sgd_step(q, epoch, lr_sch)
         loss_q = cross_entropy(probs_q, labels) + kl_divergence(c_teacher, probs_q)
 
     else:  # REFINE
-        grads_q, probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
-        sgd_step(q, grads_q, epoch, lr_sch)
+        probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
+        sgd_step(q, epoch, lr_sch)
         loss_q = cross_entropy(probs_q, labels) + kl_divergence(c_teacher, probs_q)
 
         if state.refine_trains_deputy:
-            grads_c, probs_c = backward(c, batch, labels)
-            sgd_step(c, grads_c, epoch, lr_sch, prox=prox)
+            probs_c = backward(c, batch, labels)
+            sgd_step(c, epoch, lr_sch, prox=prox)
             loss_c = cross_entropy(probs_c, labels)
         else:
             loss_c = cross_entropy(c_teacher, labels)

@@ -17,6 +17,10 @@ Every client, the baseline `_Client` here and the deputy machine
   upload()                      the parameter set sent to the server
   receive(ps)                   install a server aggregate
   models()                      {name: Network} evaluated and checkpointed
+
+Copy rule: parameter arrays are copied only into and out of a Network
+(`import_parameters`, `parameters()`). Uploads, aggregates and FedProx
+anchors share arrays and are only read; clients may share one anchor.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +40,7 @@ from .datasynth import SPLITS, ClientPartition, augment
 from .errors import ConfigError, DomainError
 from .nn import LrSchedule, Network, backward, build_network, cross_entropy, sgd_step
 from .spectral import CfaSchedule, cfa_aggregate, schedule_threshold
-from .tensors import ParameterSet, require_all_congruent
+from .tensors import ParameterSet, require_all_congruent, require_finite
 
 AGGREGATORS = ("fedavg", "cfa")
 DOMAIN_MODES = ("complex", "amplitude_phase")
@@ -126,7 +130,8 @@ class RoundReport:
 def fedavg_aggregate(
     sets: Sequence[ParameterSet], weights: Sequence[float]
 ) -> ParameterSet:
-    """Weighted element-wise mean; weights normalized to sum 1."""
+    """Weighted element-wise mean; weights normalized to sum 1. A non-finite
+    upload raises NonFiniteError."""
     require_all_congruent(sets)
     if len(weights) != len(sets):
         raise DomainError("one weight per parameter set required")
@@ -134,32 +139,29 @@ def fedavg_aggregate(
     if np.any(w <= 0):
         raise DomainError("weights must be positive")
     w = w / w.sum()
-    out = sets[0].copy()
-    for idx in range(len(out)):
-        acc = np.zeros_like(out.entries[idx].tensor)
-        for wk, s in zip(w, sets):
-            acc += wk * s.entries[idx].tensor
-        out.entries[idx].tensor = acc
-    return out
+    out = []
+    for entries in zip(*(s.entries for s in sets)):
+        require_finite(entries[0].name, [e.tensor for e in entries])
+        acc = np.zeros_like(entries[0].tensor)
+        for wk, e in zip(w, entries):
+            acc += wk * e.tensor
+        out.append(replace(entries[0], tensor=acc))
+    return ParameterSet(out)
 
 
 def fedbn_filter(ps: ParameterSet) -> Tuple[ParameterSet, ParameterSet]:
     """Partition into (shared, retained): batch-norm entries stay local."""
-    shared = [e.copy() for e in ps.entries if not e.is_batchnorm]
-    retained = [e.copy() for e in ps.entries if e.is_batchnorm]
+    shared = [e for e in ps.entries if not e.is_batchnorm]
+    retained = [e for e in ps.entries if e.is_batchnorm]
     return ParameterSet(shared), ParameterSet(retained)
 
 
-def _merge_retained(
-    template: ParameterSet, shared: ParameterSet, retained: ParameterSet
-) -> ParameterSet:
-    """Reassemble a full set in template order from the two partitions."""
+def _merge_retained(upload: ParameterSet, shared: ParameterSet) -> ParameterSet:
+    """The upload in its own order, each entry that `shared` names replaced."""
     shared_names = set(shared.names())
-    entries = []
-    for e in template.entries:
-        src = shared if e.name in shared_names else retained
-        entries.append(src.get(e.name).copy())
-    return ParameterSet(entries)
+    return ParameterSet(
+        [shared.get(e.name) if e.name in shared_names else e for e in upload.entries]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,8 @@ class _Client:
     last_received: Optional[ParameterSet] = None
 
     def step(self, images, labels, epoch: int, lr: LrSchedule, mu: float) -> None:
-        grads, _ = backward(self.model, images, labels)
-        sgd_step(self.model, grads, epoch, lr, prox=(mu, self.last_received))
+        backward(self.model, images, labels)
+        sgd_step(self.model, epoch, lr, prox=(mu, self.last_received))
 
     def end_epoch(self, epoch: int) -> Optional[dict]:
         return None
@@ -188,7 +190,7 @@ class _Client:
 
     def receive(self, ps: ParameterSet) -> None:
         self.model.import_parameters(ps)
-        self.last_received = ps.copy()
+        self.last_received = ps
 
     def models(self) -> Dict[str, Network]:
         return {"model": self.model}
@@ -266,28 +268,21 @@ def _aggregate(
 ) -> List[ParameterSet]:
     """Produce one new parameter set per client (identical under fedavg)."""
     if cfg.fedbn_exclude_bn:
-        parts = [fedbn_filter(u) for u in uploads]
-        shared_sets = [p[0] for p in parts]
-        retained_sets = [p[1] for p in parts]
+        shared_sets = [fedbn_filter(u)[0] for u in uploads]
     else:
         shared_sets = uploads
-        retained_sets = None
 
     if len(shared_sets[0]) == 0:
-        return [u.copy() for u in uploads]  # everything retained: no-op
+        return list(uploads)  # everything retained: no-op
 
     if cfg.aggregator == "fedavg":
-        mean = fedavg_aggregate(shared_sets, weights)
-        shared_out = [mean.copy() for _ in uploads]
+        shared_out = [fedavg_aggregate(shared_sets, weights)] * len(uploads)
     else:
         shared_out = cfa_aggregate(shared_sets, s, cfg.domain_mode)
 
-    if retained_sets is None:
+    if not cfg.fedbn_exclude_bn:
         return shared_out
-    return [
-        _merge_retained(uploads[k], shared_out[k], retained_sets[k])
-        for k in range(len(uploads))
-    ]
+    return [_merge_retained(u, out) for u, out in zip(uploads, shared_out)]
 
 
 def _evaluate_round(
@@ -366,6 +361,7 @@ def run_experiment(
 ) -> List[RoundReport]:
     """Run the full federated training loop; write artifacts if out_dir set."""
     cfg.validate()
+    metrics._warned.clear()  # each run warns once per kind
     if len(partitions) != cfg.num_clients:
         raise ConfigError(
             f"{len(partitions)} partitions for num_clients={cfg.num_clients}"
@@ -374,6 +370,15 @@ def run_experiment(
         classes = 1 + max(
             int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
         )
+    for p in partitions:
+        for split in SPLITS:
+            labels = p.split(split).labels
+            bad = labels[(labels < 0) | (labels >= classes)]
+            if len(bad):
+                raise ConfigError(
+                    f"client {p.client_id} {split} split holds label {int(bad[0])}; "
+                    f"labels must lie in [0, {classes})"
+                )
     if cfg.augment:
         sample = partitions[0].train.images
         if sample.shape[-1] != sample.shape[-2]:

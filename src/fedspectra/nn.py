@@ -4,17 +4,22 @@ Layers: valid 2-D convolution, dense, relu, 2x2 max pooling, batch norm
 (with running stats), flatten. The network ends in a softmax over the last
 dense layer's logits. No autodiff tape: each layer implements its own
 backward pass, checked against finite differences in the test suite.
+
+Copy rule: a Network owns its arrays. `import_parameters` copies in,
+`parameters()` and `gradients()` copy out. `backward` leaves gradients in
+each layer's `grads`, `sgd_step` updates `params` in place and only reads
+its anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CongruenceError, ShapeError
-from .tensors import ParamEntry, ParameterSet
+from .tensors import ParamEntry, ParameterSet, kind_of
 
 _LOG_CLAMP = 1e-12
 
@@ -244,6 +249,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _state(layer: Layer) -> Dict[str, np.ndarray]:
+    return {**layer.params, **layer.buffers}
+
+
 class Network:
     """Ordered layer stack ending in softmax over the last layer's logits."""
 
@@ -268,42 +277,31 @@ class Network:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _entries(self, source: str) -> List[ParamEntry]:
-        entries = []
-        for lname, layer in self.layers:
-            is_bn = isinstance(layer, BatchNorm)
-            for pname in layer.params:
-                value = (
-                    layer.params[pname]
-                    if source != "grads"
-                    else layer.grads.get(pname, np.zeros_like(layer.params[pname]))
-                )
-                kind = "conv4d" if value.ndim == 4 else (
-                    "matrix2d" if value.ndim == 2 else "vector1d"
-                )
-                entries.append(
-                    ParamEntry(f"{lname}.{pname}", value.copy(), kind, is_bn, True)
-                )
-            for bname, bval in layer.buffers.items():
-                value = bval if source != "grads" else np.zeros_like(bval)
-                entries.append(
-                    ParamEntry(f"{lname}.{bname}", value.copy(), "vector1d", is_bn, False)
-                )
-        return entries
+    def _view(self, arrays: Callable[[Layer], Dict[str, np.ndarray]]) -> ParameterSet:
+        """A set sharing `arrays(layer)` of each layer, in layer order."""
+        return ParameterSet(
+            [
+                ParamEntry(f"{lname}.{name}", value, kind_of(value), isinstance(layer, BatchNorm))
+                for lname, layer in self.layers
+                for name, value in arrays(layer).items()
+            ]
+        )
 
     def parameters(self) -> ParameterSet:
-        return ParameterSet(self._entries("params"))
+        """A copy of every parameter, then every buffer, of each layer."""
+        return self._view(_state).copy()
 
     def gradients(self) -> ParameterSet:
-        return ParameterSet(self._entries("grads"))
+        """A copy of each parameter's gradient from the last `backward`."""
+        return self._view(lambda layer: {n: layer.grads[n] for n in layer.params}).copy()
 
     def import_parameters(self, ps: ParameterSet) -> None:
-        self.parameters().require_congruent(ps)
+        """Copy every tensor of a congruent set into the network."""
+        self._view(_state).require_congruent(ps)
         for lname, layer in self.layers:
-            for pname in layer.params:
-                layer.params[pname] = ps.get(f"{lname}.{pname}").tensor.copy()
-            for bname in layer.buffers:
-                layer.buffers[bname] = ps.get(f"{lname}.{bname}").tensor.copy()
+            for store in (layer.params, layer.buffers):
+                for name in store:
+                    store[name] = ps.get(f"{lname}.{name}").tensor.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +331,12 @@ def backward(
     batch: np.ndarray,
     labels: Sequence[int],
     teacher_probs: Optional[np.ndarray] = None,
-) -> Tuple[ParameterSet, np.ndarray]:
+) -> np.ndarray:
     """Gradients of CE (plus KL(teacher || net) when a teacher is given).
 
-    Returns (gradient set, forward probabilities). The softmax/CE/KL logit
-    gradient is (p - onehot)/n plus (p - teacher)/n for the KL term.
+    Leaves the gradients in each layer's `grads` and returns the forward
+    probabilities. The softmax/CE/KL logit gradient is (p - onehot)/n plus
+    (p - teacher)/n for the KL term.
     """
     labels = np.asarray(labels, dtype=np.int64)
     probs = net.forward(batch, train=True)
@@ -348,7 +347,7 @@ def backward(
         dlogits += probs - teacher_probs
     dlogits /= n
     net.backward_from_logits(dlogits)
-    return net.gradients(), probs
+    return probs
 
 
 @dataclass(frozen=True)
@@ -368,26 +367,20 @@ class LrSchedule:
 
 def sgd_step(
     net: Network,
-    grads: ParameterSet,
     epoch: int,
     sch: LrSchedule,
-    prox: Optional[Tuple[float, ParameterSet]] = None,
+    prox: Optional[Tuple[float, Optional[ParameterSet]]] = None,
 ) -> None:
-    """w <- w - lr(epoch) * (g + mu * (w - anchor)); buffers are untouched."""
-    params = net.parameters()
-    params.require_congruent(grads)
+    """w <- w - lr(epoch) * (g + mu * (w - anchor)) in place, with g from the
+    last `backward`; buffers are untouched. The anchor is only read."""
     lr = sch.at(epoch)
     mu, anchor = (0.0, None) if prox is None else prox
-    if anchor is not None:
-        params.require_congruent(anchor)
     for lname, layer in net.layers:
-        for pname in layer.params:
-            full = f"{lname}.{pname}"
-            g = grads.get(full).tensor
-            w = layer.params[pname]
+        for pname, w in layer.params.items():
+            g = layer.grads[pname]
             if mu != 0.0 and anchor is not None:
-                g = g + mu * (w - anchor.get(full).tensor)
-            layer.params[pname] = w - lr * g
+                g = g + mu * (w - anchor.get(f"{lname}.{pname}").tensor)
+            w -= lr * g
 
 
 # ---------------------------------------------------------------------------

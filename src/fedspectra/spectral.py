@@ -19,16 +19,18 @@ transform each client's spectrum instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError
+from .errors import DomainError, ShapeError
 from .tensors import (
+    ParamEntry,
     ParameterSet,
     matrix_to_conv,
     require_all_congruent,
+    require_finite,
     reshape_conv_to_matrix,
     tensor_mean,
 )
@@ -224,15 +226,6 @@ def _real_part(back: np.ndarray) -> np.ndarray:
     return back.real
 
 
-def _require_finite(name: str, stack: np.ndarray) -> None:
-    """Raise NonFiniteError naming the entry and the first client whose
-    upload (axis 0 of `stack`) holds a NaN or an infinity."""
-    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteError(f"entry {name!r}: client {bad} uploaded non-finite values")
-
-
 def _low_pass_matrix(n: int, s: float) -> np.ndarray:
     """Real symmetric circulant A with A @ x == ifft(selection * fft(x)) for
     a length-n axis; its kernel is the inverse transform of the selection."""
@@ -287,22 +280,21 @@ def cfa_aggregate(
         raise DomainError(f"threshold s={s} outside (0, 1)")
     if domain_mode not in ("complex", "amplitude_phase"):
         raise DomainError(f"unknown domain_mode {domain_mode!r}")
-    outputs = [cs.copy() for cs in client_sets]
+    outputs: List[List[ParamEntry]] = [[] for _ in client_sets]
 
     for idx, proto in enumerate(client_sets[0].entries):
         tensors = [cs.entries[idx].tensor for cs in client_sets]
-        stack = np.stack(tensors)
-        _require_finite(proto.name, stack)
+        require_finite(proto.name, tensors)
         if proto.kind == "vector1d":
             merged = tensor_mean(tensors)
             for out in outputs:
-                out.entries[idx].tensor = merged.copy()
+                out.append(replace(proto, tensor=merged))
             continue
 
         if proto.kind == "conv4d":
             a, b, c1, c2 = proto.tensor.shape
-            stack = np.stack([reshape_conv_to_matrix(t) for t in tensors])
-
+            tensors = [reshape_conv_to_matrix(t) for t in tensors]
+        stack = np.stack(tensors)
         rows, cols = stack.shape[1:]
         if domain_mode == "complex" and mask_override is None:
             results = _filter_complex(stack, s)
@@ -316,5 +308,5 @@ def cfa_aggregate(
         for out, real in zip(outputs, results):
             if proto.kind == "conv4d":
                 real = matrix_to_conv(real, a, b, c1, c2)
-            out.entries[idx].tensor = real
-    return outputs
+            out.append(replace(proto, tensor=real))
+    return [ParameterSet(out) for out in outputs]

@@ -8,12 +8,12 @@ matrix consumed by the frequency-domain aggregator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .errors import CongruenceError, DomainError, ShapeError
+from .errors import CongruenceError, DomainError, NonFiniteError, ShapeError
 
 KINDS = ("conv4d", "matrix2d", "vector1d")
 
@@ -75,6 +75,14 @@ def tensor_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
     return acc / len(tensors)
 
 
+def require_finite(name: str, tensors: Sequence[np.ndarray]) -> None:
+    """Raise NonFiniteError naming the entry and the first client whose
+    tensor (one per client, in order) holds a NaN or an infinity."""
+    for k, t in enumerate(tensors):
+        if not np.isfinite(t).all():
+            raise NonFiniteError(f"entry {name!r}: client {k} uploaded non-finite values")
+
+
 @dataclass
 class ParamEntry:
     """One named parameter tensor with its aggregation kind."""
@@ -83,7 +91,6 @@ class ParamEntry:
     tensor: np.ndarray
     kind: str
     is_batchnorm: bool = False
-    trainable: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -95,11 +102,6 @@ class ParamEntry:
                 f"entry {self.name!r}: kind {self.kind} does not match ndim "
                 f"{self.tensor.ndim}"
             )
-
-    def copy(self) -> "ParamEntry":
-        return ParamEntry(
-            self.name, self.tensor.copy(), self.kind, self.is_batchnorm, self.trainable
-        )
 
 
 class ParameterSet:
@@ -137,7 +139,7 @@ class ParameterSet:
             raise CongruenceError("parameter sets are not congruent")
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet([e.copy() for e in self.entries])
+        return ParameterSet([replace(e, tensor=e.tensor.copy()) for e in self.entries])
 
     def allclose(self, other: "ParameterSet", atol: float = 0.0) -> bool:
         if not self.congruent_with(other):

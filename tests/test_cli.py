@@ -278,6 +278,17 @@ class TestGenDataCommand:
         assert rc == 0
         assert (run_out / "metrics.csv").exists()
 
+    def test_label_outside_classes_exits_2(self, tiny_cfg, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+        argv = ["run", "--config", str(tiny_cfg), "--set", f"dataset_dir={data_dir}"]
+        rc = main(argv + ["--set", "classes=2", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: client 0 train split holds label 2" in err
+        assert "[0, 2)" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
     def test_gen_data_matches_in_memory_generation(self, tiny_cfg, tmp_path):
         import numpy as np
 

@@ -1,14 +1,17 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from fedspectra import cto
 from fedspectra.datasynth import SynthSpec, generate
-from fedspectra.errors import ConfigError, DomainError
+from fedspectra.errors import ConfigError, DomainError, NonFiniteError
 from fedspectra.federation import (
     FederationConfig,
     _Client,
+    _aggregate,
+    client_local_epoch,
     fedavg_aggregate,
     fedbn_filter,
     run_experiment,
@@ -87,6 +90,40 @@ class TestFedavg:
         sets = _sets([rng.normal(size=3)], [rng.normal(size=3)])
         with pytest.raises(DomainError):
             fedavg_aggregate(sets, [1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_upload_rejected(self, bad):
+        sets = _sets([[1.0, 2.0], [3.0]], [[1.0, bad], [3.0]])
+        with pytest.raises(NonFiniteError, match=r"'p0'.*client 1"):
+            fedavg_aggregate(sets, [1, 1])
+
+
+def _smallcnn_bn_uploads(n=3):
+    rng = np.random.default_rng(11)
+    return [build_network("smallcnn_bn", 1, 12, 12, 3, rng).parameters() for _ in range(n)]
+
+
+class TestAggregateOwnership:
+    @pytest.mark.parametrize(
+        "aggregator,fedbn", [("cfa", False), ("cfa", True), ("fedavg", False), ("fedavg", True)]
+    )
+    def test_uploads_unchanged(self, aggregator, fedbn):
+        uploads = _smallcnn_bn_uploads()
+        before = [u.copy() for u in uploads]
+        cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=fedbn, num_clients=3)
+        out = _aggregate(cfg, uploads, [3, 1, 2], 0.3)
+        assert not out[0].identical(before[0])  # aggregation did change the model
+        for u, b in zip(uploads, before):
+            assert u.identical(b)
+
+    @pytest.mark.parametrize("fedbn", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fedavg_path_rejects_non_finite(self, fedbn, bad):
+        uploads = _smallcnn_bn_uploads()
+        uploads[2].get("fc1.weight").tensor[3, 4] = bad
+        cfg = tiny_config(aggregator="fedavg", fedbn_exclude_bn=fedbn, num_clients=3)
+        with pytest.raises(NonFiniteError, match=r"'fc1\.weight'.*client 2"):
+            _aggregate(cfg, uploads, [1, 1, 1], 0.0)
 
 
 class TestFedbnFilter:
@@ -274,6 +311,30 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, parts)
 
+    def test_each_run_warns_once(self, caplog):
+        # class 2 never occurs, so every evaluation meets an empty class
+        spec = SynthSpec(
+            classes=3,
+            height=8,
+            width=8,
+            client_class_counts=[[10, 8, 0]] * 2,
+            brightness=[0.0] * 2,
+            contrast=[1.0] * 2,
+            noise_level=0.05,
+            seed=5,
+        )
+        caplog.set_level(logging.WARNING, logger="fedspectra.metrics")
+        counts = []
+        for _ in range(2):
+            run_experiment(tiny_config(comm_interval=2, total_epochs=4), generate(spec), classes=3)
+            counts.append(
+                [
+                    sum(text in r.getMessage() for r in caplog.records)
+                    for text in ("empty class", "class 2 has no positives")
+                ]
+            )
+        assert counts == [[1, 1], [2, 2]]
+
     def test_fedbn_keeps_bn_local(self, tmp_path):
         from fedspectra import fmmt
 
@@ -314,6 +375,13 @@ def _twin(net):
     return twin
 
 
+def _grads(net, images, labels, teacher=None):
+    """The gradients `backward` computes for `net`, taken on a twin."""
+    twin = _twin(net)
+    backward(twin, images, labels, teacher)
+    return twin.gradients()
+
+
 def _sgd_oracle(start, grads, lr, mu=0.0, anchor=None):
     """w - lr * (g + mu * (w - anchor)); plain SGD without mu or anchor."""
     out = {}
@@ -349,7 +417,7 @@ class TestFedProx:
         anchor = anchor if anchored else None
         images, labels = part.train.images[:8], part.train.labels[:8]
         start = net.parameters()
-        grads, _ = backward(_twin(net), images, labels)
+        grads = _grads(net, images, labels)
         client = _Client(0, net, part, np.random.default_rng(0), last_received=anchor)
         client.step(images, labels, 0, self.LR, mu)
         _assert_params(net, _sgd_oracle(start, grads, self.LR.at(0), mu, anchor))
@@ -364,13 +432,29 @@ class TestFedProx:
         c_teacher = _twin(c).forward(images, train=False)
         refine = phase is cto.CtoPhase.REFINE
         retrieve = phase is cto.CtoPhase.RETRIEVE
-        grads_c, _ = backward(_twin(c), images, labels, None if refine else q_teacher)
-        grads_q, _ = backward(_twin(q), images, labels, None if retrieve else c_teacher)
+        grads_c = _grads(c, images, labels, None if refine else q_teacher)
+        grads_q = _grads(q, images, labels, None if retrieve else c_teacher)
         state = cto.ClientState(0, q, c, part, phase=phase, last_received=anchor)
         state.step(images, labels, 0, self.LR, mu)
         # the deputy is pulled toward the anchor; the personalized model never is
         _assert_params(c, _sgd_oracle(c_start, grads_c, self.LR.at(0), mu, anchor))
         _assert_params(q, _sgd_oracle(q_start, grads_q, self.LR.at(0)))
+
+    @pytest.mark.parametrize("cto_enabled", [False, True])
+    def test_anchor_unchanged_by_local_epochs(self, cto_enabled):
+        part, (q, c), anchor = self._setup()
+        snapshot = anchor.copy()
+        cfg = tiny_config(fedprox_mu=0.5, batch_size=8)
+        if cto_enabled:
+            client = cto.ClientState(0, q, c, part, rng=np.random.default_rng(0))
+        else:
+            client = _Client(0, c, part, np.random.default_rng(0))
+        client.receive(anchor)
+        for epoch in range(3):
+            client_local_epoch(client, epoch, cfg)
+        assert client.last_received is anchor
+        assert anchor.identical(snapshot)
+        assert not c.parameters().identical(snapshot)  # the model did train
 
     @pytest.mark.parametrize("cto_enabled", [False, True])
     def test_no_anchor_before_first_receive(self, tmp_path, cto_enabled):

@@ -29,11 +29,9 @@ def fd_check(net, x, y, teacher, step=1e-5, rel_tol=1e-4, abs_floor=1e-7):
             loss += kl_divergence(teacher, probs)
         return loss
 
-    grads, _ = backward(net, x, y, teacher_probs=teacher)
+    backward(net, x, y, teacher_probs=teacher)
     layers = dict(net.layers)
-    for entry in grads:
-        if not entry.trainable:
-            continue
+    for entry in net.gradients():
         lname, pname = entry.name.rsplit(".", 1)
         param = layers[lname].params[pname]
         it = np.nditer(entry.tensor, flags=["multi_index"])
@@ -174,7 +172,8 @@ class TestGradients:
         layer.params["weight"][:] = 0.0
         x = np.zeros((4, 3))
         y = np.array([0, 0, 1, 1])
-        grads, _ = backward(net, x, y)
+        backward(net, x, y)
+        grads = net.gradients()
         assert np.abs(grads.get("fc.weight").tensor).max() < 1e-15
         onehot_mean = np.array([0.5, 0.5])
         expected_bias = 0.5 - onehot_mean
@@ -197,8 +196,11 @@ class TestSgd:
     def test_zero_gradient_no_change(self, rng):
         net = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         before = net.parameters()
-        zero = net.gradients()  # fresh network: no grads recorded, all zero
-        sgd_step(net, zero, 0, LrSchedule())
+        backward(net, rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4))
+        for _, layer in net.layers:
+            for g in layer.grads.values():
+                g[...] = 0.0
+        sgd_step(net, 0, LrSchedule())
         assert net.parameters().identical(before)
 
     def test_prox_at_anchor_is_noop(self, rng):
@@ -209,15 +211,45 @@ class TestSgd:
 
         net_a = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_a.import_parameters(anchor)
-        grads_a, _ = backward(net_a, x, y)
-        sgd_step(net_a, grads_a, 0, LrSchedule(), prox=(1.0, anchor))
+        backward(net_a, x, y)
+        sgd_step(net_a, 0, LrSchedule(), prox=(1.0, anchor))
 
         net_b = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_b.import_parameters(anchor)
-        grads_b, _ = backward(net_b, x, y)
-        sgd_step(net_b, grads_b, 0, LrSchedule())
+        backward(net_b, x, y)
+        sgd_step(net_b, 0, LrSchedule())
 
         assert net_a.parameters().identical(net_b.parameters())
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_step_in_place_matches_oracle(self, rng, mu):
+        net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
+        anchor = net.parameters()
+        for e in anchor.entries:
+            e.tensor = e.tensor + 0.25
+        snapshot = anchor.copy()
+        backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+        start, grads = net.parameters(), net.gradients()
+        arrays = {(l, p): w for l, layer in net.layers for p, w in layer.params.items()}
+        sch = LrSchedule(0.1)
+        sgd_step(net, 0, sch, prox=(mu, anchor))
+        lr = sch.at(0)
+        for g in grads:
+            w, a = start.get(g.name).tensor, anchor.get(g.name).tensor
+            expected = w - lr * (g.tensor + mu * (w - a)) if mu else w - lr * g.tensor
+            lname, pname = g.name.rsplit(".", 1)
+            assert dict(net.layers)[lname].params[pname] is arrays[(lname, pname)]
+            assert np.array_equal(net.parameters().get(g.name).tensor, expected), g.name
+        for name in ("bn1.running_mean", "bn1.running_var"):  # buffers untouched
+            assert np.array_equal(net.parameters().get(name).tensor, start.get(name).tensor)
+        assert anchor.identical(snapshot)
+
+    def test_gradients_cover_trainable_parameters_only(self, rng):
+        net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
+        backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+        names = net.gradients().names()
+        assert names == [f"{l}.{p}" for l, layer in net.layers for p in layer.params]
+        assert "bn1.gamma" in names and "bn1.running_mean" not in names
 
     def test_deterministic_training(self, rng):
         x = rng.normal(size=(8, 1, 12, 12))
@@ -226,8 +258,8 @@ class TestSgd:
         for _ in range(2):
             net = build_network("smallcnn", 1, 12, 12, 3, np.random.default_rng(7))
             for epoch in range(3):
-                grads, _ = backward(net, x, y)
-                sgd_step(net, grads, epoch, LrSchedule())
+                backward(net, x, y)
+                sgd_step(net, epoch, LrSchedule())
             params.append(net.parameters())
         assert params[0].identical(params[1])
 
