@@ -266,9 +266,13 @@ def _init_clients(
 def _aggregate(
     cfg: FederationConfig, uploads: List[ParameterSet], weights: List[int], s: float
 ) -> List[ParameterSet]:
-    """Produce one new parameter set per client (identical under fedavg)."""
+    """Produce one new parameter set per client (identical under fedavg).
+    A non-finite upload, retained FedBN entries included, raises
+    NonFiniteError."""
     if cfg.fedbn_exclude_bn:
-        shared_sets = [fedbn_filter(u)[0] for u in uploads]
+        shared_sets, retained_sets = zip(*(fedbn_filter(u) for u in uploads))
+        for entries in zip(*(r.entries for r in retained_sets)):
+            require_finite(entries[0].name, [e.tensor for e in entries])
     else:
         shared_sets = uploads
 

@@ -9,6 +9,16 @@ Copy rule: a Network owns its arrays. `import_parameters` copies in,
 `parameters()` and `gradients()` copy out. `backward` leaves gradients in
 each layer's `grads`, `sgd_step` updates `params` in place and only reads
 its anchor.
+
+Kernel rules:
+- 2x2 max pooling routes each window's gradient to one slot: the first
+  slot holding the maximum in window order (0,0), (0,1), (1,0), (1,1), the
+  slot `argmax` would pick for finite inputs. Ties are common, since every
+  all-zero window after a ReLU is one.
+- Nothing reads the gradient of the network input, so the first layer
+  computes only its parameter gradients (`backward(dy, need_dx=False)`).
+- A layer's training forward caches what its backward needs, and that
+  backward releases it: no cache outlives the step.
 """
 
 from __future__ import annotations
@@ -35,12 +45,23 @@ class Layer:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
         self.buffers: Dict[str, np.ndarray] = {}  # non-trainable state
+        self._cache = None  # set by a training forward, released by backward
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> Optional[np.ndarray]:
+        """Fill `grads` from `dy` and return the input gradient. With
+        `need_dx` false nothing reads it: layers with parameters then skip
+        it and return None."""
         raise NotImplementedError
+
+    def _release(self):
+        """The training forward's cache, which no longer outlives the step."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward without a training forward")
+        return cache
 
 
 class Conv2d(Layer):
@@ -80,8 +101,8 @@ class Conv2d(Layer):
             self._cache = (x.shape, cols)
         return y.reshape(n, w.shape[0], oh, ow)
 
-    def backward(self, dy):
-        x_shape, cols = self._cache
+    def backward(self, dy, need_dx=True):
+        x_shape, cols = self._release()
         n, c, h, w_in = x_shape
         w = self.params["weight"]
         out_ch = w.shape[0]
@@ -91,6 +112,8 @@ class Conv2d(Layer):
             np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         )
         self.grads["bias"] = dyf.sum(axis=(0, 2))
+        if not need_dx:
+            return None
         wf = w.reshape(out_ch, -1)
         dcols = np.matmul(wf.T, dyf).reshape(n, c, self.kh, self.kw, oh, ow)
         dx = np.zeros(x_shape)
@@ -118,11 +141,11 @@ class Dense(Layer):
             self._cache = x
         return x @ w.T + self.params["bias"]
 
-    def backward(self, dy):
-        x = self._cache
+    def backward(self, dy, need_dx=True):
+        x = self._release()
         self.grads["weight"] = dy.T @ x
         self.grads["bias"] = dy.sum(axis=0)
-        return dy @ self.params["weight"]
+        return dy @ self.params["weight"] if need_dx else None
 
 
 class ReLU(Layer):
@@ -131,35 +154,44 @@ class ReLU(Layer):
             self._cache = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, dy):
-        return dy * self._cache
+    def backward(self, dy, need_dx=True):
+        return dy * self._release()
+
+
+def _window_slots(a: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
+    """The four slots of `a`'s [n, c, oh, 2, ow, 2] window view, each
+    [n, c, oh, ow], in order (0,0), (0,1), (1,0), (1,1). Stride-2 slices,
+    so an odd-sized `a` is not copied."""
+    return [a[:, :, i : 2 * oh : 2, j : 2 * ow : 2] for i in (0, 1) for j in (0, 1)]
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling, stride 2; trailing odd row/column is dropped."""
+    """2x2 max pooling, stride 2; trailing odd row/column is dropped.
+    Training caches only the int8 slot of each window's maximum (tie rule in
+    the module docstring)."""
 
     def forward(self, x, train):
         n, c, h, w = x.shape
         oh, ow = h // 2, w // 2
         if oh == 0 or ow == 0:
             raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
-        v = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
-        windows = v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-        idx = windows.argmax(axis=-1)
+        s = _window_slots(x, oh, ow)
+        y = np.maximum(np.maximum(s[0], s[1]), np.maximum(s[2], s[3]))
         if train:
-            self._cache = (x.shape, idx)
-        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+            # first slot equal to the max, with ne_i = (slot i != max):
+            # k = ne0 * (1 + ne1 * (1 + ne2))
+            k = (s[2] != y).astype(np.int8)
+            for i in (1, 0):
+                k += 1
+                k *= s[i] != y
+            self._cache = (x.shape, k)
+        return y
 
-    def backward(self, dy):
-        x_shape, idx = self._cache
-        n, c, h, w = x_shape
-        oh, ow = h // 2, w // 2
-        dwin = np.zeros((n, c, oh, ow, 4))
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    def backward(self, dy, need_dx=True):
+        x_shape, k = self._release()
         dx = np.zeros(x_shape)
-        dx[:, :, : 2 * oh, : 2 * ow] = (
-            dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, 2 * oh, 2 * ow)
+        for i, slot in enumerate(_window_slots(dx, dy.shape[2], dy.shape[3])):
+            slot[...] = np.where(k == i, dy, 0.0)
         return dx
 
 
@@ -169,8 +201,8 @@ class Flatten(Layer):
             self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy):
-        return dy.reshape(self._cache)
+    def backward(self, dy, need_dx=True):
+        return dy.reshape(self._release())
 
 
 class BatchNorm(Layer):
@@ -226,11 +258,13 @@ class BatchNorm(Layer):
             self._cache = (x, xhat, mean, inv_std, axes)
         return y
 
-    def backward(self, dy):
-        x, xhat, mean, inv_std, axes = self._cache
+    def backward(self, dy, need_dx=True):
+        x, xhat, mean, inv_std, axes = self._release()
         m = np.prod([x.shape[a] for a in axes])
         self.grads["gamma"] = (dy * xhat).sum(axis=axes)
         self.grads["beta"] = dy.sum(axis=axes)
+        if not need_dx:
+            return None
         gamma = self._expand(self.params["gamma"], x.ndim)
         istd = self._expand(inv_std, x.ndim)
         dxhat = dy * gamma
@@ -271,9 +305,11 @@ class Network:
         return _softmax(x)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
+        """Backpropagate through every layer; nothing reads the network
+        input's gradient, so the first layer does not compute it."""
         dy = dlogits
-        for _, layer in reversed(self.layers):
-            dy = layer.backward(dy)
+        for i, (_, layer) in reversed(list(enumerate(self.layers))):
+            dy = layer.backward(dy, need_dx=i > 0)
 
     # -- parameter plumbing ------------------------------------------------
 

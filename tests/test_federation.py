@@ -125,6 +125,15 @@ class TestAggregateOwnership:
         with pytest.raises(NonFiniteError, match=r"'fc1\.weight'.*client 2"):
             _aggregate(cfg, uploads, [1, 1, 1], 0.0)
 
+    @pytest.mark.parametrize("aggregator", ["fedavg", "cfa"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_retained_batchnorm_entries_checked(self, aggregator, bad):
+        uploads = _smallcnn_bn_uploads()
+        uploads[1].get("bn1.running_mean").tensor[0] = bad
+        cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=True, num_clients=3)
+        with pytest.raises(NonFiniteError, match=r"'bn1\.running_mean'.*client 1"):
+            _aggregate(cfg, uploads, [1, 1, 1], 0.3)
+
 
 class TestFedbnFilter:
     def test_partition_laws(self, rng):

@@ -186,6 +186,107 @@ class TestGradients:
         assert kl_divergence(probs, probs) == pytest.approx(0.0, abs=1e-12)
 
 
+def argmax_pool_forward(x):
+    """Independent oracle: pooling by `argmax` over transposed windows."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    v = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
+    windows = v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
+    idx = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], idx
+
+
+def argmax_pool_backward(x_shape, idx, dy):
+    n, c, h, w = x_shape
+    oh, ow = h // 2, w // 2
+    dwin = np.zeros((n, c, oh, ow, 4))
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    dx = np.zeros(x_shape)
+    dx[:, :, : 2 * oh, : 2 * ow] = (
+        dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    ).reshape(n, c, 2 * oh, 2 * ow)
+    return dx
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMaxPool:
+    def _check(self, x, rng):
+        pool = MaxPool2x2()
+        y = pool.forward(x, train=True)
+        y_ref, idx = argmax_pool_forward(x)
+        assert _same_bits(y, y_ref)
+        assert _same_bits(pool.forward(x, train=False), y_ref)
+        dy = rng.normal(size=y.shape)
+        dx = pool.backward(dy)
+        assert _same_bits(dx, argmax_pool_backward(x.shape, idx, dy))
+        return dx
+
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 8), (20, 8, 30, 30), (2, 3, 6, 10)])
+    def test_random_inputs(self, rng, shape):
+        self._check(rng.normal(size=shape), rng)
+
+    def test_relu_ties_go_to_first_slot(self, rng):
+        x = np.maximum(rng.normal(-0.8, 1.0, size=(4, 3, 12, 12)), 0.0)
+        x[0, 0, 0:2, 0:2] = [[0.0, 2.0], [2.0, 2.0]]  # three-way tie above zero
+        pooled = argmax_pool_forward(x)[0]
+        assert (pooled == 0.0).sum() > 50  # many all-zero windows
+        dx = self._check(x, rng)
+        assert dx[0, 0, 0, 0] == 0.0 and dx[0, 0, 0, 1] != 0.0
+        assert dx[0, 0, 1, 0] == 0.0 and dx[0, 0, 1, 1] == 0.0
+
+    @pytest.mark.parametrize("size", [13, 15])
+    def test_odd_sizes_drop_trailing_row_and_column(self, rng, size):
+        x = np.maximum(rng.normal(size=(3, 2, size, size)), 0.0)
+        dx = self._check(x, rng)
+        assert not dx[:, :, -1, :].any() and not dx[:, :, :, -1].any()
+
+    def test_batch_of_one(self, rng):
+        self._check(rng.normal(size=(1, 4, 10, 10)), rng)
+
+
+class TestBackwardPass:
+    def _layerwise(self, net, x, y):
+        """Reference backward: every layer, the first included, returns dx."""
+        probs = net.forward(x, train=True)
+        dlogits = probs.copy()
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dy = dlogits / len(y)
+        for _, layer in reversed(net.layers):
+            dy = layer.backward(dy)
+        assert dy.shape == x.shape
+        return {f"{l}.{p}": g.copy() for l, layer in net.layers for p, g in layer.grads.items()}
+
+    @pytest.mark.parametrize("arch", ["smallcnn", "smallcnn_bn"])
+    def test_first_conv_grads_match_layerwise_reference(self, rng, arch):
+        x = rng.normal(size=(5, 1, 14, 14))
+        y = rng.integers(0, 3, size=5)
+        ref_net = build_network(arch, 1, 14, 14, 3, np.random.default_rng(3))
+        expected = self._layerwise(ref_net, x, y)
+        net = build_network(arch, 1, 14, 14, 3, np.random.default_rng(3))
+        backward(net, x, y)
+        assert isinstance(net.layers[0][1], Conv2d)
+        for g in net.gradients():
+            assert _same_bits(g.tensor, expected[g.name]), g.name
+
+    def test_first_layer_skips_input_gradient(self, rng):
+        conv = Conv2d(2, 1, 3, 3, rng)
+        x = rng.normal(size=(2, 1, 6, 6))
+        conv.forward(x, train=True)
+        assert conv.backward(rng.normal(size=(2, 2, 4, 4)), need_dx=False) is None
+        assert set(conv.grads) == {"weight", "bias"}
+
+    @pytest.mark.parametrize("arch", ["tiny_mlp", "smallcnn", "smallcnn_bn"])
+    def test_backward_releases_forward_caches(self, rng, arch):
+        net = build_network(arch, 1, 12, 12, 3, rng)
+        backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+        assert all(layer._cache is None for _, layer in net.layers)
+        with pytest.raises(RuntimeError, match="without a training forward"):
+            net.backward_from_logits(np.zeros((4, 3)))
+
+
 class TestSgd:
     def test_lr_schedule_default_values(self):
         sch = LrSchedule(3e-3, 30)
