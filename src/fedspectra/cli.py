@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -100,6 +101,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _defined(value: float) -> Optional[float]:
+    """None for a metric that is undefined (NaN), such as the AUC of a
+    split holding a single class."""
+    return None if math.isnan(value) else value
+
+
 def _final_summary(run_dir: Path) -> dict:
     """Final-round test metrics of the preferred model, per client and mean."""
     path = run_dir / "metrics.csv"
@@ -120,10 +127,13 @@ def _final_summary(run_dir: Path) -> dict:
         raise FedSpectraError(f"no final-round test rows in {path}")
     keys = ("accuracy", "macro_f1", "macro_auc")
     clients = {
-        r["client_id"]: {k: float(r[k]) for k in keys}
+        r["client_id"]: {k: _defined(float(r[k])) for k in keys}
         for r in sorted(selected, key=lambda r: int(r["client_id"]))
     }
-    avg = {k: sum(v[k] for v in clients.values()) / len(clients) for k in keys}
+    avg = {}
+    for k in keys:  # over the clients where the metric is defined
+        vals = [v[k] for v in clients.values() if v[k] is not None]
+        avg[k] = sum(vals) / len(vals) if vals else None
     return {
         "round": final_round,
         "model": model,
@@ -154,10 +164,8 @@ def cmd_sweep(args) -> int:
                 str(n),
                 cfg.aggregator,
                 "true" if cfg.cto_enabled else "false",
-                f"{avg['accuracy']:.12g}",
-                f"{avg['macro_f1']:.12g}",
-                f"{avg['macro_auc']:.12g}",
             ]
+            + ["nan" if avg[k] is None else f"{avg[k]:.12g}" for k in avg]
         )
     with open(sweep_dir / "sweep.csv", "w", newline="\n") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -175,11 +183,10 @@ def cmd_report(args) -> int:
     print(f"final round {summary['round']}, model={summary['model']}, split=test")
     print(f"{'client':>8} {'accuracy':>10} {'macro_f1':>10} {'macro_auc':>10}")
     for cid, vals in list(summary["clients"].items()) + [("Avg", avg)]:
-        print(
-            f"{cid:>8} {vals['accuracy']:>10.4f} {vals['macro_f1']:>10.4f} "
-            f"{vals['macro_auc']:>10.4f}"
-        )
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        cells = ("n/a" if vals[k] is None else f"{vals[k]:.4f}" for k in vals)
+        print(f"{cid:>8} " + " ".join(f"{c:>10}" for c in cells))
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    (run_dir / "summary.json").write_text(text + "\n")
     return 0
 
 

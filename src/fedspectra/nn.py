@@ -19,6 +19,8 @@ Kernel rules:
   computes only its parameter gradients (`backward(dy, need_dx=False)`).
 - A layer's training forward caches what its backward needs, and that
   backward releases it: no cache outlives the step.
+- A `backward` may overwrite the `dy` it receives (every caller passes a
+  fresh array it does not read again), and no `forward` writes its input.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class Conv2d(Layer):
         oh, ow = h - self.kh + 1, w_in - self.kw + 1
         cols = self._im2col(x)
         wf = w.reshape(w.shape[0], -1)
-        y = np.matmul(wf, cols) + self.params["bias"][None, :, None]
+        y = np.matmul(wf, cols)
+        y += self.params["bias"][None, :, None]
         if train:
             self._cache = (x.shape, cols)
         return y.reshape(n, w.shape[0], oh, ow)
@@ -139,7 +142,9 @@ class Dense(Layer):
             raise ShapeError(f"dense input shape {x.shape} incompatible with {w.shape}")
         if train:
             self._cache = x
-        return x @ w.T + self.params["bias"]
+        y = x @ w.T
+        y += self.params["bias"]
+        return y
 
     def backward(self, dy, need_dx=True):
         x = self._release()
@@ -155,7 +160,8 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, dy, need_dx=True):
-        return dy * self._release()
+        dy *= self._release()
+        return dy
 
 
 def _window_slots(a: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
@@ -189,8 +195,11 @@ class MaxPool2x2(Layer):
 
     def backward(self, dy, need_dx=True):
         x_shape, k = self._release()
-        dx = np.zeros(x_shape)
-        for i, slot in enumerate(_window_slots(dx, dy.shape[2], dy.shape[3])):
+        oh, ow = dy.shape[2], dy.shape[3]
+        dx = np.empty(x_shape)
+        dx[:, :, 2 * oh :] = 0.0  # the trailing row and column pooling dropped
+        dx[:, :, :, 2 * ow :] = 0.0
+        for i, slot in enumerate(_window_slots(dx, oh, ow)):
             slot[...] = np.where(k == i, dy, 0.0)
         return dx
 
@@ -211,6 +220,9 @@ class BatchNorm(Layer):
     Works on conv feature maps [n, c, h, w] and dense activations [n, c].
     Training uses batch statistics; eval uses the running estimates. The
     running stats are exported as non-trainable batchnorm-flagged entries.
+    A training forward caches only the normalized input `xhat`, the
+    per-channel `inv_std` and the reduction axes, not the input; backward
+    builds `dx` in the storage of its `dy`.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -236,8 +248,11 @@ class BatchNorm(Layer):
     def forward(self, x, train):
         axes = self._axes(x)
         if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            m = x.size // x.shape[1]
+            mean = x.sum(axis=axes) / m
+            xhat = x - self._expand(mean, x.ndim)
+            y = np.multiply(xhat, xhat)  # scratch until it becomes the output
+            var = y.sum(axis=axes) / m
             self.buffers["running_mean"] = (
                 (1 - self.momentum) * self.buffers["running_mean"]
                 + self.momentum * mean
@@ -249,28 +264,35 @@ class BatchNorm(Layer):
         else:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
+            xhat = y = x - self._expand(mean, x.ndim)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - self._expand(mean, x.ndim)) * self._expand(inv_std, x.ndim)
-        y = self._expand(self.params["gamma"], x.ndim) * xhat + self._expand(
-            self.params["beta"], x.ndim
-        )
+        xhat *= self._expand(inv_std, x.ndim)
+        np.multiply(xhat, self._expand(self.params["gamma"], x.ndim), out=y)
+        y += self._expand(self.params["beta"], x.ndim)
         if train:
-            self._cache = (x, xhat, mean, inv_std, axes)
+            self._cache = (xhat, inv_std, axes)
         return y
 
     def backward(self, dy, need_dx=True):
-        x, xhat, mean, inv_std, axes = self._release()
-        m = np.prod([x.shape[a] for a in axes])
-        self.grads["gamma"] = (dy * xhat).sum(axis=axes)
+        xhat, inv_std, axes = self._release()
+        scratch = np.multiply(dy, xhat)
+        self.grads["gamma"] = scratch.sum(axis=axes)
         self.grads["beta"] = dy.sum(axis=axes)
         if not need_dx:
             return None
-        gamma = self._expand(self.params["gamma"], x.ndim)
-        istd = self._expand(inv_std, x.ndim)
-        dxhat = dy * gamma
-        sum_dxhat = self._expand(dxhat.sum(axis=axes), x.ndim)
-        sum_dxhat_xhat = self._expand((dxhat * xhat).sum(axis=axes), x.ndim)
-        return (istd / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        # dx = (inv_std/m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
+        # built in dy's storage, which first becomes dxhat = dy*gamma
+        m = xhat.size // xhat.shape[1]
+        dy *= self._expand(self.params["gamma"], dy.ndim)
+        sum_dxhat = self._expand(dy.sum(axis=axes), dy.ndim)
+        np.multiply(dy, xhat, out=scratch)
+        sum_dxhat_xhat = self._expand(scratch.sum(axis=axes), dy.ndim)
+        np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+        dy *= m
+        dy -= sum_dxhat
+        dy -= scratch
+        dy *= self._expand(inv_std, dy.ndim) / m
+        return dy
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared independent oracles for the test suite."""
 
+import fedspectra  # noqa: F401  (pins BLAS threads before numpy loads)
 import numpy as np
 import pytest
 

@@ -241,6 +241,43 @@ class TestReportCommand:
             expected = sum(v[key] for v in summary["clients"].values()) / 2
             assert summary["avg"][key] == pytest.approx(expected, abs=1e-12)
 
+    @staticmethod
+    def _strict_json(text):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_undefined_auc_is_null_and_left_out_of_avg(self, tmp_path, capsys):
+        run_dir = tmp_path / "one_class"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            "round,epoch,client_id,model,split,accuracy,macro_f1,macro_auc,loss\n"
+            "1,2,0,model,test,0.5,0.4,0.75,0.9\n"
+            "1,2,1,model,test,1,1,nan,0.1\n"
+            "1,2,2,model,test,0.25,0.2,0.5,1.2\n"
+            "1,2,1,model,val,1,1,0.6,0.1\n"
+        )
+        assert main(["report", str(run_dir)]) == 0
+        summary = self._strict_json((run_dir / "summary.json").read_text())
+        assert summary["clients"]["1"]["macro_auc"] is None
+        assert summary["avg"]["macro_auc"] == pytest.approx(0.625, abs=1e-15)
+        assert summary["avg"]["accuracy"] == pytest.approx(1.75 / 3, abs=1e-15)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].split() == ["1", "1.0000", "1.0000", "n/a"]
+        assert lines[-1].split() == ["Avg", "0.5833", "0.5333", "0.6250"]
+
+    def test_no_defined_auc_gives_null_avg(self, tmp_path):
+        run_dir = tmp_path / "all_one_class"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            "round,epoch,client_id,model,split,accuracy,macro_f1,macro_auc,loss\n"
+            "1,2,0,model,test,1,1,nan,0.1\n"
+        )
+        assert main(["report", str(run_dir)]) == 0
+        summary = self._strict_json((run_dir / "summary.json").read_text())
+        assert summary["avg"]["macro_auc"] is None
+
     def test_report_missing_dir_exits_1(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope")])
         assert rc == 1

@@ -247,6 +247,111 @@ class TestMaxPool:
         self._check(rng.normal(size=(1, 4, 10, 10)), rng)
 
 
+class ReferenceBatchNorm:
+    """Independent oracle: batch norm through `mean`/`var` and fresh
+    arrays for every intermediate, reading its inputs only."""
+
+    def __init__(self, gamma, beta, running_mean, running_var, momentum=0.1, eps=1e-5):
+        self.gamma, self.beta = gamma.copy(), beta.copy()
+        self.running_mean, self.running_var = running_mean.copy(), running_var.copy()
+        self.momentum, self.eps = momentum, eps
+
+    def forward(self, x, train):
+        axes = (0, 2, 3) if x.ndim == 4 else (0,)
+        shape = (1, -1) + (1,) * (x.ndim - 2)
+        if train:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+        else:
+            mean, var = self.running_mean, self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+        self.cache = (x, xhat, inv_std, axes, shape)
+        return self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+
+    def backward(self, dy):
+        x, xhat, inv_std, axes, shape = self.cache
+        m = np.prod([x.shape[a] for a in axes])
+        grads = {"gamma": (dy * xhat).sum(axis=axes), "beta": dy.sum(axis=axes)}
+        istd = inv_std.reshape(shape)
+        dxhat = dy * self.gamma.reshape(shape)
+        sum_dxhat = dxhat.sum(axis=axes).reshape(shape)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(shape)
+        dx = (istd / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        return grads, dx
+
+
+class TestBatchNorm:
+    def _pair(self, rng, channels):
+        bn = BatchNorm(channels)
+        bn.params["gamma"] = rng.normal(1.0, 0.3, channels)
+        bn.params["beta"] = rng.normal(0.0, 0.3, channels)
+        bn.buffers["running_mean"] = rng.normal(0.0, 0.5, channels)
+        bn.buffers["running_var"] = rng.uniform(0.5, 2.0, channels)
+        ref = ReferenceBatchNorm(
+            bn.params["gamma"],
+            bn.params["beta"],
+            bn.buffers["running_mean"],
+            bn.buffers["running_var"],
+        )
+        return bn, ref
+
+    def _check(self, rng, shape, need_dx=True):
+        bn, ref = self._pair(rng, shape[1])
+        x = rng.normal(0.7, 2.0, size=shape)
+        x_before = x.copy()
+        for _ in range(2):  # the second step starts from updated running stats
+            y = bn.forward(x, train=True)
+            assert _same_bits(y, ref.forward(x, train=True))
+            assert _same_bits(bn.buffers["running_mean"], ref.running_mean)
+            assert _same_bits(bn.buffers["running_var"], ref.running_var)
+            dy = rng.normal(size=shape)
+            grads, dx_ref = ref.backward(dy)
+            dx = bn.backward(dy.copy(), need_dx=need_dx)
+            for name in ("gamma", "beta"):
+                assert _same_bits(bn.grads[name], grads[name]), name
+            if need_dx:
+                assert _same_bits(dx, dx_ref)
+            else:
+                assert dx is None
+        assert _same_bits(bn.forward(x, train=False), ref.forward(x, train=False))
+        assert _same_bits(x, x_before)
+
+    @pytest.mark.parametrize("shape", [(20, 8, 30, 30), (3, 5, 7, 9), (6, 4)])
+    def test_matches_reference(self, rng, shape):
+        self._check(rng, shape)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 6, 6), (1, 5)])
+    def test_batch_of_one(self, rng, shape):
+        self._check(rng, shape)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 5), (7, 6)])
+    def test_parameter_grads_without_input_gradient(self, rng, shape):
+        self._check(rng, shape, need_dx=False)
+
+    def test_cache_does_not_hold_the_input(self, rng):
+        bn = BatchNorm(3)
+        x = rng.normal(size=(4, 3, 5, 5))
+        bn.forward(x, train=True)
+        arrays = [a for a in bn._cache if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, x) for a in arrays)
+        assert [a.shape for a in arrays if a.ndim == x.ndim] == [x.shape]  # xhat alone
+
+
+class TestForwardLeavesInput:
+    @pytest.mark.parametrize("arch", ["tiny_mlp", "smallcnn", "smallcnn_bn"])
+    def test_batch_unchanged(self, rng, arch):
+        net = build_network(arch, 1, 12, 12, 3, rng)
+        batch = rng.normal(size=(4, 1, 12, 12))
+        before = batch.copy()
+        for train in (True, False):
+            net.forward(batch, train=train)
+            assert _same_bits(batch, before)
+        backward(net, batch, rng.integers(0, 3, size=4))
+        assert _same_bits(batch, before)
+
+
 class TestBackwardPass:
     def _layerwise(self, net, x, y):
         """Reference backward: every layer, the first included, returns dx."""
