@@ -9,40 +9,18 @@ config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .datasynth import SynthSpec, default_class_counts, default_style
 from .errors import ConfigError
 from .federation import FederationConfig
-from .nn import LrSchedule
-from .spectral import CfaSchedule
 
 
 @dataclass
-class RunConfig:
+class RunConfig(FederationConfig):
     profile: str = "full"
-    # federation
-    num_clients: int = 4
-    comm_interval: int = 10
-    total_epochs: int = 300
-    aggregator: str = "cfa"
-    s0: float = 0.26
-    s1: float = 0.55
-    lambda1: float = 0.6
-    lambda2: float = 0.8
-    batch_size: int = 20
-    lr_initial: float = 3e-3
-    lr_halve_every: int = 30
-    fedprox_mu: float = 0.0
-    fedbn_exclude_bn: bool = False
-    cto_enabled: bool = True
-    refine_trains_deputy: bool = True
-    seed: int = 0
-    domain_mode: str = "complex"
-    arch: str = "smallcnn"
-    augment: bool = True
-    save_checkpoints: bool = True
     # synthetic data
     classes: int = 3
     image_channels: int = 1
@@ -56,17 +34,8 @@ class RunConfig:
     out_dir: str = "run_out"
 
     def federation_config(self) -> FederationConfig:
-        cfg = FederationConfig(
-            cfa=CfaSchedule(self.s0, self.s1, self.total_epochs),
-            lr=LrSchedule(self.lr_initial, self.lr_halve_every),
-            **{
-                f.name: getattr(self, f.name)
-                for f in dataclasses.fields(FederationConfig)
-                if f.name not in ("cfa", "lr")
-            },
-        )
-        cfg.validate()
-        return cfg
+        self.validate()
+        return self
 
     def synth_spec(self) -> SynthSpec:
         brightness, contrast = default_style(self.num_clients)
@@ -86,10 +55,7 @@ class RunConfig:
         )
 
     def validate(self) -> None:
-        try:
-            self.federation_config()
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        super().validate()
         if self.classes < 2:
             raise ConfigError("classes must be >= 2")
         if self.count_scale <= 0:
@@ -102,17 +68,20 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _convert(key: str, raw: str, where: str):
-    ftype = _FIELDS[key].type
+    ftype = _FIELDS[key].type  # a string under `from __future__ import annotations`
     raw = raw.strip()
     try:
-        if ftype == "bool" or ftype is bool:
+        if ftype == "bool":
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
             raise ValueError(f"expected true/false, got {raw!r}")
-        if ftype == "int" or ftype is int:
+        if ftype == "int":
             return int(raw)
-        if ftype == "float" or ftype is float:
-            return float(raw)
+        if ftype == "float":
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {raw!r}")
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
@@ -150,9 +119,6 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for f in dataclasses.fields(RunConfig):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
+        rendered = str(value).lower() if isinstance(value, bool) else value
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"

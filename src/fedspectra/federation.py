@@ -29,7 +29,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import cto, fmmt, metrics
 from .datasynth import SPLITS, ClientPartition, augment
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 from .nn import LrSchedule, Network, backward, build_network, cross_entropy, sgd_step
 from .spectral import CfaSchedule, cfa_aggregate, schedule_threshold
 from .tensors import ParameterSet, require_all_congruent, require_finite
@@ -64,22 +64,36 @@ class FederationConfig:
     comm_interval: int = 10
     total_epochs: int = 300
     aggregator: str = "cfa"
-    cfa: CfaSchedule = field(default_factory=CfaSchedule)
+    s0: float = 0.26
+    s1: float = 0.55
     lambda1: float = 0.6
     lambda2: float = 0.8
     batch_size: int = 20
-    lr: LrSchedule = field(default_factory=LrSchedule)
+    lr_initial: float = 3e-3
+    lr_halve_every: int = 30
     fedprox_mu: float = 0.0
     fedbn_exclude_bn: bool = False
     cto_enabled: bool = True
+    refine_trains_deputy: bool = True
     seed: int = 0
     domain_mode: str = "complex"
     arch: str = "smallcnn"
-    refine_trains_deputy: bool = True
     augment: bool = True
     save_checkpoints: bool = True
 
+    @property
+    def cfa(self) -> CfaSchedule:
+        return CfaSchedule(self.s0, self.s1, self.total_epochs)
+
+    @property
+    def lr(self) -> LrSchedule:
+        return LrSchedule(self.lr_initial, self.lr_halve_every)
+
     def validate(self) -> None:
+        try:  # the schedules check their own ranges
+            self.cfa, self.lr
+        except (DomainError, ShapeError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if self.comm_interval < 1 or self.total_epochs < self.comm_interval:
@@ -213,12 +227,13 @@ def client_local_epoch(
     n = len(train)
     if n == 0:
         raise DomainError(f"client {client.client_id} has no training data")
+    lr = cfg.lr
     for idx in _batches(n, cfg.batch_size, client.rng):
         images = train.images[idx]
         labels = train.labels[idx]
         if cfg.augment:
             images = np.stack([augment(im, client.rng) for im in images])
-        client.step(images, labels, epoch, cfg.lr, cfg.fedprox_mu)
+        client.step(images, labels, epoch, lr, cfg.fedprox_mu)
     return client.end_epoch(epoch)
 
 

@@ -7,6 +7,7 @@ payload. Readers reject unknown magic/version/dtype.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -34,7 +35,10 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read FMMT file: {exc.strerror}") from exc
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise IngestionError(f"{path}: not an FMMT file (bad magic)")
     try:
@@ -52,7 +56,7 @@ def read_tensor(path) -> np.ndarray:
         raise IngestionError(f"{path}: truncated FMMT dims") from exc
     offset += 4 * ndim
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)  # exact; np.prod wraps around in fixed width
     if len(raw) - offset != count * dtype.itemsize:
         raise IngestionError(f"{path}: payload size does not match dims {dims}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)

@@ -29,8 +29,7 @@ def confusion_matrix(
 ) -> np.ndarray:
     """Counts with rows = truth, columns = prediction."""
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        cm[t, p] += 1
+    np.add.at(cm, (np.asarray(y_true, dtype=np.intp), np.asarray(y_pred, dtype=np.intp)), 1)
     return cm
 
 
@@ -62,17 +61,9 @@ def macro_f1(cm: np.ndarray) -> float:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Ranks (1-based) with ties assigned the average of their positions."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts)  # 1-based position of each value's last copy
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:

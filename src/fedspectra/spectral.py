@@ -115,11 +115,6 @@ def ifft2d_complex(f: np.ndarray) -> np.ndarray:
     return np.conj(_fft2_complex(np.conj(f))) / f.size
 
 
-def ifft2d(f: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT returning the real part (imaginary residue discarded)."""
-    return ifft2d_complex(f).real
-
-
 def to_amplitude_phase(f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split a complex spectrum into magnitude and angle (zero bins get phase 0)."""
     f = np.asarray(f, dtype=np.complex128)

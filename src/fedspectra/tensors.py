@@ -18,12 +18,9 @@ from .errors import CongruenceError, DomainError, NonFiniteError, ShapeError
 KINDS = ("conv4d", "matrix2d", "vector1d")
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce to a contiguous float64 array, optionally reshaping."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
+def as_tensor(data) -> np.ndarray:
+    """Coerce to a contiguous float64 array."""
+    return np.ascontiguousarray(data, dtype=np.float64)
 
 
 def kind_of(arr: np.ndarray) -> str:

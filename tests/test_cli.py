@@ -1,11 +1,48 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from fedspectra.cli import main
-from fedspectra.config import load_config, parse_config_text, serialize_config
+from fedspectra.config import RunConfig, load_config, parse_config_text, serialize_config
 from fedspectra.errors import ConfigError
+
+# Every RunConfig key with its default. Adding, dropping or re-defaulting a key
+# changes what existing config files mean.
+RUN_CONFIG_DEFAULTS = {
+    "profile": "full",
+    "num_clients": 4,
+    "comm_interval": 10,
+    "total_epochs": 300,
+    "aggregator": "cfa",
+    "s0": 0.26,
+    "s1": 0.55,
+    "lambda1": 0.6,
+    "lambda2": 0.8,
+    "batch_size": 20,
+    "lr_initial": 3e-3,
+    "lr_halve_every": 30,
+    "fedprox_mu": 0.0,
+    "fedbn_exclude_bn": False,
+    "cto_enabled": True,
+    "refine_trains_deputy": True,
+    "seed": 0,
+    "domain_mode": "complex",
+    "arch": "smallcnn",
+    "augment": True,
+    "save_checkpoints": True,
+    "classes": 3,
+    "image_channels": 1,
+    "image_height": 32,
+    "image_width": 32,
+    "count_scale": 0.1,
+    "noise_level": 0.05,
+    "jitter": True,
+    "dataset_dir": "",
+    "out_dir": "run_out",
+}
+FLOAT_KEYS = [k for k, v in RUN_CONFIG_DEFAULTS.items() if isinstance(v, float)]
 
 TINY_CONFIG = """\
 # fast test profile
@@ -64,6 +101,44 @@ class TestConfigParsing:
         cfg = parse_config_text("s0 = 0.31\nnum_clients = 6\njitter = false\n")
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
+
+    def test_serialize_round_trips_every_key(self):
+        changed = dict(
+            profile="p", num_clients=3, comm_interval=5, total_epochs=20,
+            aggregator="fedavg", s0=0.1, s1=0.3, lambda1=0.25, lambda2=0.5,
+            batch_size=7, lr_initial=0.1, lr_halve_every=4, fedprox_mu=0.01,
+            fedbn_exclude_bn=True, cto_enabled=False, refine_trains_deputy=False,
+            seed=11, domain_mode="amplitude_phase", arch="smallcnn_bn", augment=False,
+            save_checkpoints=False, classes=4, image_channels=2, image_height=16,
+            image_width=16, count_scale=0.3, noise_level=0.125, jitter=False,
+            dataset_dir="data/x", out_dir="Out/Y",
+        )
+        assert set(changed) == set(RUN_CONFIG_DEFAULTS)
+        cfg = RunConfig(**changed)
+        again = parse_config_text(serialize_config(cfg))
+        assert again == cfg
+        assert all(getattr(again, k) != v for k, v in RUN_CONFIG_DEFAULTS.items())
+
+    def test_keys_and_defaults_unchanged(self):
+        fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        assert fields == RUN_CONFIG_DEFAULTS
+        assert dataclasses.asdict(RunConfig()) == RUN_CONFIG_DEFAULTS
+        # federation keys first, then profile, data and io keys
+        assert list(fields)[20:] == [
+            "profile", "classes", "image_channels", "image_height", "image_width",
+            "count_scale", "noise_level", "jitter", "dataset_dir", "out_dir",
+        ]
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+    def test_non_finite_float_rejected_with_line(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"<config>:2: bad value for '{key}'.*finite"):
+            parse_config_text(f"seed = 1\n{key} = {raw}\n")
+
+    def test_schedule_error_is_config_error(self):
+        for text in ("s0 = 0.6\n", "s1 = 0.2\n", "lr_halve_every = 0\n", "lr_initial = 0\n"):
+            with pytest.raises(ConfigError):
+                parse_config_text(text).validate()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -166,6 +241,17 @@ class TestRunCommand:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    @pytest.mark.parametrize("setting", ["fedprox_mu=nan", "count_scale=nan", "lr_initial=inf"])
+    def test_non_finite_set_exits_2(self, tiny_cfg, tmp_path, capsys, command, setting):
+        out = tmp_path / "nf"
+        rc = main([command, "--config", str(tiny_cfg), "--set", setting, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        key = setting.split("=")[0]
+        assert f"config error: --set: bad value for '{key}'" in err
+        assert not out.exists()
 
     def test_determinism_across_invocations(self, tiny_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -325,6 +411,18 @@ class TestGenDataCommand:
         assert "config error: client 0 train split holds label 2" in err
         assert "[0, 2)" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_missing_image_exits_1_with_path(self, tiny_cfg, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+        victim = sorted((data_dir / "client_1" / "images").glob("*.fmmt"))[0]
+        victim.unlink()
+        argv = ["run", "--config", str(tiny_cfg), "--set", f"dataset_dir={data_dir}"]
+        rc = main(argv + ["--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{victim}: cannot read" in err
 
     def test_gen_data_matches_in_memory_generation(self, tiny_cfg, tmp_path):
         import numpy as np

@@ -188,7 +188,7 @@ class TestRunExperiment:
     def test_cfa_threshold_logged_per_round(self, tmp_path):
         parts = tiny_partitions()
         sch = CfaSchedule(0.2, 0.4, 6)
-        cfg = tiny_config(aggregator="cfa", cfa=sch, comm_interval=2, total_epochs=6)
+        cfg = tiny_config(aggregator="cfa", s0=0.2, s1=0.4, comm_interval=2, total_epochs=6)
         run_experiment(cfg, parts, out_dir=tmp_path)
         events = [
             json.loads(line)
@@ -219,7 +219,8 @@ class TestRunExperiment:
         parts = tiny_partitions()
         cfg = tiny_config(
             aggregator="cfa",
-            cfa=CfaSchedule(0.1, 0.1, 4),
+            s0=0.1,
+            s1=0.1,
             comm_interval=4,
             total_epochs=4,
             save_checkpoints=True,
@@ -313,6 +314,19 @@ class TestRunExperiment:
     def test_epoch_interval_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(comm_interval=3, total_epochs=4).validate()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(s0=0.6), dict(s0=0.3, s1=0.2), dict(lr_halve_every=0), dict(lr_initial=0.0)],
+    )
+    def test_schedule_error_rejected_before_training(self, bad):
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(aggregator="cfa", **bad), tiny_partitions())
+
+    def test_schedules_built_from_flat_keys(self):
+        cfg = tiny_config(s0=0.2, s1=0.4, total_epochs=6, lr_initial=0.5, lr_halve_every=3)
+        assert cfg.cfa == CfaSchedule(0.2, 0.4, 6)
+        assert cfg.lr == LrSchedule(0.5, 3)
 
     def test_partition_count_mismatch_rejected(self):
         parts = tiny_partitions(n_clients=2)

@@ -50,3 +50,29 @@ def test_truncated_payload_rejected(tmp_path, rng):
     p.write_bytes(raw[:-8])
     with pytest.raises(IngestionError, match="payload"):
         fmmt.read_tensor(p)
+
+
+def test_missing_file_rejected_with_path(tmp_path):
+    p = tmp_path / "absent.fmmt"
+    with pytest.raises(IngestionError, match="absent.fmmt: cannot read"):
+        fmmt.read_tensor(p)
+
+
+def test_directory_rejected(tmp_path):
+    with pytest.raises(IngestionError, match="cannot read"):
+        fmmt.read_tensor(tmp_path)
+
+
+def test_dims_whose_product_wraps_rejected(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64, which would match an empty payload
+    p = tmp_path / "huge.fmmt"
+    p.write_bytes(fmmt.MAGIC + struct.pack("<IB I", 1, 2, 4) + struct.pack("<4I", *[65536] * 4))
+    with pytest.raises(IngestionError, match="payload"):
+        fmmt.read_tensor(p)
+
+
+def test_zero_dim_tensor_read(tmp_path):
+    p = tmp_path / "s.fmmt"
+    p.write_bytes(fmmt.MAGIC + struct.pack("<IB I", 1, 2, 0) + struct.pack("<d", 2.5))
+    back = fmmt.read_tensor(p)
+    assert back.shape == () and back == 2.5

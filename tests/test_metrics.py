@@ -114,3 +114,61 @@ class TestMacroAuc:
         scores = np.array([[1.0, 0.0], [0.9, 0.1]])
         with pytest.raises(DomainError):
             metrics.macro_auc(scores, [0, 0])
+
+
+def _loop_confusion_matrix(y_true, y_pred, n_classes):
+    """One count per sample, the plain-loop definition."""
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        cm[t, p] += 1
+    return cm
+
+
+def _loop_midranks(x):
+    """Walk the stably sorted values; each run of equal values gets the mean
+    of its 1-based positions."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestExactOracles:
+    def test_confusion_matrix_matches_loop(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            n = int(rng.integers(0, 40))
+            y_true, y_pred = rng.integers(0, k, size=n), rng.integers(0, k, size=n)
+            got = metrics.confusion_matrix(y_true, y_pred, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _loop_confusion_matrix(y_true, y_pred, k))
+
+    def test_confusion_matrix_empty_class(self):
+        y_true, y_pred = [0, 0, 2, 2, 2], [0, 2, 2, 0, 2]  # class 1 never seen
+        got = metrics.confusion_matrix(y_true, y_pred, 3)
+        assert np.array_equal(got, _loop_confusion_matrix(y_true, y_pred, 3))
+        assert np.array_equal(got, [[1, 0, 1], [0, 0, 0], [1, 0, 2]])
+
+    def test_midranks_match_loop_with_heavy_ties_and_signed_zeros(self, rng):
+        pool = np.array([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, 1e-300, -1e-300])
+        for _ in range(1000):
+            n = int(rng.integers(1, 40))
+            x = pool[rng.integers(0, int(rng.integers(1, len(pool) + 1)), size=n)]
+            got = metrics._midranks(x)
+            assert np.array_equal(got, _loop_midranks(x))
+
+    def test_midranks_single_sample(self):
+        for v in (0.0, -0.0, 3.5):
+            assert np.array_equal(metrics._midranks(np.array([v])), [1.0])
+
+    def test_midranks_nan_each_its_own_rank(self):
+        x = np.array([np.nan, 0.5, np.nan, -0.0, 0.0, 0.5])
+        assert np.array_equal(metrics._midranks(x), _loop_midranks(x))
+        assert np.array_equal(metrics._midranks(x), [5.0, 3.5, 6.0, 1.5, 1.5, 3.5])
