@@ -29,7 +29,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -90,6 +90,10 @@ class FederationConfig:
         return LrSchedule(self.lr_initial, self.lr_halve_every)
 
     def validate(self) -> None:
+        for f in fields(self):  # NaN would pass every range check below
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         try:  # the schedules check their own ranges
             self.cfa, self.lr
         except (DomainError, ShapeError) as exc:

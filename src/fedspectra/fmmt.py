@@ -22,7 +22,7 @@ _CODE_FOR = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")  # ascontiguousarray would make 0-d input 1-d
     if arr.dtype not in _CODE_FOR:
         arr = arr.astype(np.float64)
     code = _CODE_FOR[arr.dtype]

@@ -1,11 +1,11 @@
 """2-D DFT machinery, the low-frequency mask, and the cumulative
 frequency-domain aggregation rule.
 
-The forward transform uses the unnormalized negative-exponent convention;
-the inverse divides by rows*cols. Power-of-two axis lengths take an
-iterative radix-2 path; every other length goes through Bluestein's
-chirp-z algorithm (so arbitrary layer shapes are supported). A naive
-direct-summation DFT lives in the test suite as the independent oracle.
+The transforms are numpy.fft's over the last two axes, so a
+[clients, rows, cols] stack goes through one call: the forward transform
+uses the unnormalized negative-exponent convention and the inverse
+divides by rows*cols. A naive direct-summation DFT lives in the test
+suite as the independent oracle.
 
 Complex-mode aggregation is linear and its mask is the outer product of
 two k -> -k symmetric axis selections, so it runs as a separable real
@@ -14,7 +14,7 @@ symmetric circulant matrices built from the inverse transform of each
 axis selection and L the masked low band of the client mean. One 2-D
 transform pair per entry serves all clients. amplitude_phase mode
 (nonlinear) and an explicit mask override (not always separable)
-transform each client's spectrum instead.
+transform every client's spectrum instead, in one batched pair per entry.
 """
 
 from __future__ import annotations
@@ -36,83 +36,23 @@ from .tensors import (
 )
 
 # ---------------------------------------------------------------------------
-# 1-D transforms along the last axis
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey over the last axis (length power of 2)."""
-    n = x.shape[-1]
-    y = np.ascontiguousarray(x[..., _bit_reverse_indices(n)], dtype=np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = y.reshape(y.shape[:-1] + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1).reshape(y.shape)
-        size *= 2
-    return y
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[-1]
-
-
-def _fft_bluestein(x: np.ndarray) -> np.ndarray:
-    """Chirp-z DFT over the last axis, any length, via a padded radix-2 convolution."""
-    n = x.shape[-1]
-    m = 1 << (2 * n - 1).bit_length() if 2 * n - 1 > 1 else 1
-    k = np.arange(n)
-    chirp = np.exp(-1j * np.pi * (k * k % (2 * n)) / n)
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return chirp * conv[..., :n]
-
-
-def _fft_last_axis(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
-
-
-def _fft2_complex(m: np.ndarray) -> np.ndarray:
-    rows = _fft_last_axis(np.ascontiguousarray(m, dtype=np.complex128))
-    return np.ascontiguousarray(
-        _fft_last_axis(np.ascontiguousarray(rows.T)).T
-    )
+# 2-D transforms over the last two axes
 
 
 def fft2d(m: np.ndarray) -> np.ndarray:
-    """Unnormalized 2-D DFT (negative exponent) of a real matrix."""
+    """Unnormalized 2-D DFT (negative exponent) of a real [..., rows, cols] array."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ShapeError(f"fft2d expects a non-empty 2-D matrix, got shape {m.shape}")
-    return _fft2_complex(m)
+    if m.ndim < 2 or m.size == 0:
+        raise ShapeError(f"fft2d expects a non-empty [..., rows, cols] array, got {m.shape}")
+    return np.fft.fft2(m)
 
 
 def ifft2d_complex(f: np.ndarray) -> np.ndarray:
-    """Full complex inverse 2-D DFT (divides by rows*cols)."""
+    """Full complex inverse 2-D DFT over the last two axes (divides by rows*cols)."""
     f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 2 or f.size == 0:
-        raise ShapeError(f"ifft2d expects a non-empty 2-D matrix, got shape {f.shape}")
-    return np.conj(_fft2_complex(np.conj(f))) / f.size
+    if f.ndim < 2 or f.size == 0:
+        raise ShapeError(f"ifft2d expects a non-empty [..., rows, cols] array, got {f.shape}")
+    return np.fft.ifft2(f)
 
 
 def to_amplitude_phase(f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,14 +183,14 @@ def _per_client_fft(
     stack: np.ndarray, mask: np.ndarray, domain_mode: str
 ) -> List[np.ndarray]:
     """Replace each client's masked coefficients by the shared spectrum,
-    one 2-D transform pair per client."""
-    spectra = np.stack([fft2d(m) for m in stack])
+    with one batched 2-D transform pair over the [clients, rows, cols] stack."""
+    spectra = fft2d(stack)
     if domain_mode == "complex":
         shared = spectra.mean(axis=0)
     else:
         amp = np.abs(spectra).mean(axis=0)
         shared = from_amplitude_phase(amp, _circular_mean(np.angle(spectra)))
-    return [_real_part(ifft2d_complex(np.where(mask, shared, spec))) for spec in spectra]
+    return [_real_part(back) for back in ifft2d_complex(np.where(mask, shared, spectra))]
 
 
 def cfa_aggregate(

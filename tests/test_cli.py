@@ -135,6 +135,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"<config>:2: bad value for '{key}'.*finite"):
             parse_config_text(f"seed = 1\n{key} = {raw}\n")
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_validate(self, key, value):
+        cfg = RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+            cfg.validate()
+
     def test_schedule_error_is_config_error(self):
         for text in ("s0 = 0.6\n", "s1 = 0.2\n", "lr_halve_every = 0\n", "lr_initial = 0\n"):
             with pytest.raises(ConfigError):

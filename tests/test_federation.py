@@ -264,6 +264,21 @@ class TestRunExperiment:
             tmp_path / "t3" / "events.jsonl"
         ).read_bytes()
 
+    def test_amplitude_phase_run_finite_and_thread_independent(self, tmp_path, monkeypatch):
+        cfg = tiny_config(
+            num_clients=3, aggregator="cfa", domain_mode="amplitude_phase",
+            arch="smallcnn", comm_interval=1, total_epochs=2,
+        )
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FEDSPECTRA_THREADS", threads)
+            run_experiment(cfg, tiny_partitions(n_clients=3, size=32), out_dir=tmp_path / threads)
+        for name in ("metrics.csv", "events.jsonl"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        rows = (tmp_path / "1" / "metrics.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"1", "2"}
+        scores = np.array([row.split(",")[5:] for row in rows], dtype=float)
+        assert np.isfinite(scores).all()
+
     def test_cto_guard_events_written(self, tmp_path):
         parts = tiny_partitions()
         cfg = tiny_config(cto_enabled=True, comm_interval=2, total_epochs=2)
@@ -322,6 +337,15 @@ class TestRunExperiment:
     def test_schedule_error_rejected_before_training(self, bad):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(aggregator="cfa", **bad), tiny_partitions())
+
+    @pytest.mark.parametrize("key", ["lr_initial", "fedprox_mu", "s0", "lambda1"])
+    def test_non_finite_key_rejected_before_training(self, key, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before validating the config")
+
+        monkeypatch.setattr("fedspectra.federation.client_local_epoch", no_training)
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            run_experiment(tiny_config(**{key: float("nan")}), tiny_partitions())
 
     def test_schedules_built_from_flat_keys(self):
         cfg = tiny_config(s0=0.2, s1=0.4, total_epochs=6, lr_initial=0.5, lr_halve_every=3)

@@ -76,3 +76,11 @@ def test_zero_dim_tensor_read(tmp_path):
     p.write_bytes(fmmt.MAGIC + struct.pack("<IB I", 1, 2, 0) + struct.pack("<d", 2.5))
     back = fmmt.read_tensor(p)
     assert back.shape == () and back == 2.5
+
+
+def test_zero_dim_tensor_roundtrip(tmp_path):
+    p = tmp_path / "s.fmmt"
+    fmmt.write_tensor(p, np.float64(2.5))
+    back = fmmt.read_tensor(p)
+    assert back.shape == () and back == 2.5
+    assert p.read_bytes() == fmmt.MAGIC + struct.pack("<IB I", 1, 2, 0) + struct.pack("<d", 2.5)

@@ -53,6 +53,53 @@ class TestFft:
         with pytest.raises(ShapeError):
             ifft2d_complex(np.zeros((0, 3), dtype=complex))
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ShapeError):
+            fft2d(np.ones(4))
+        with pytest.raises(ShapeError):
+            ifft2d_complex(np.ones(4, dtype=complex))
+
+
+def _dft_matrix(n, sign=-1):
+    """Dense DFT matrix exp(sign * 2j*pi*j*k/n), exponent reduced mod n."""
+    k = np.arange(n)
+    return np.exp(sign * 2j * np.pi * (np.outer(k, k) % n) / n)
+
+
+class TestStackedFft:
+    """A [N, rows, cols] stack goes through one call; each slice must equal
+    its own 2-D DFT."""
+
+    def test_stack_matches_naive_oracle_5x7(self, rng):
+        stack = rng.normal(size=(3, 5, 7))
+        spec = fft2d(stack)
+        assert spec.shape == stack.shape
+        for m, f in zip(stack, spec):
+            assert np.abs(f - naive_dft2(m)).max() < 1e-9
+        back = ifft2d_complex(spec)
+        for f, b in zip(spec, back):
+            naive_inverse = np.conj(naive_dft2(np.conj(f))) / f.size
+            assert np.abs(b - naive_inverse).max() < 1e-9
+
+    def test_stack_matches_matrix_form_fc1_shape(self, rng):
+        stack = rng.normal(size=(3, 64, 576))
+        f_r, f_c = _dft_matrix(64), _dft_matrix(576)
+        spec = fft2d(stack)
+        back = ifft2d_complex(spec)
+        for m, f, b in zip(stack, spec, back):
+            scale = np.abs(m).sum()
+            assert np.abs(f - f_r @ m @ f_c).max() <= 1e-12 * scale
+            inverse = np.conj(f_r) @ f @ np.conj(f_c) / m.size
+            assert np.abs(b - inverse).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (2, 64, 576), (2, 3, 1, 9)])
+    def test_stack_roundtrip(self, shape, rng):
+        stack = rng.normal(size=shape)
+        back = ifft2d_complex(fft2d(stack))
+        scale = np.abs(stack).max()
+        assert np.abs(back.real - stack).max() <= 1e-12 * scale
+        assert np.abs(back.imag).max() <= 1e-12 * scale
+
 
 class TestAmplitudePhase:
     def test_pure_imaginary(self):
@@ -314,7 +361,7 @@ class TestCfaFilterForm:
         self._check_against_fft_form(sets, s)
 
     def test_matches_fft_form_fc1_shape(self, rng):
-        # 576 = 9 * 64: the Bluestein path on the long axis
+        # fc1's [64, 576] weight: 576 = 9 * 64 is not a power of two
         sets = [_set_of([rng.normal(size=(64, 576))]) for _ in range(5)]
         self._check_against_fft_form(sets, 0.3)
 
