@@ -214,6 +214,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FedSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path that cannot be created or written
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

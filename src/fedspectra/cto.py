@@ -85,6 +85,11 @@ class ClientState:
     def models(self) -> Dict[str, Network]:
         return {"deputy": self.deputy, "personalized": self.personalized}
 
+    def checkpoint_sets(self) -> Dict[str, ParameterSet]:
+        """The deputy equals its received aggregate; the personalized model
+        trains in place next round, so it is copied."""
+        return {"deputy": self.last_received, "personalized": self.personalized.parameters()}
+
 
 def on_receive(state: ClientState, aggregated: ParameterSet) -> None:
     """Install server parameters into the deputy and reset to retrieve;

@@ -16,11 +16,20 @@ Every client, the baseline `_Client` here and the deputy machine
   end_epoch(epoch)              per-epoch hook; returns an event dict or None
   upload()                      the parameter set sent to the server
   receive(ps)                   install a server aggregate
-  models()                      {name: Network} evaluated and checkpointed
+  models()                      {name: Network} evaluated each round
+  checkpoint_sets()             {name: ParameterSet} saved each round
 
 Copy rule: parameter arrays are copied only into and out of a Network
 (`import_parameters`, `parameters()`). Uploads, aggregates and FedProx
 anchors share arrays and are only read; clients may share one anchor.
+A model the server overwrites equals its received aggregate until the
+next round trains it (round evaluation does not train), so that aggregate
+is also its checkpoint payload; only a model the server never replaces is
+copied for saving.
+
+Round r's checkpoints are written on one background thread while round
+r+1 trains. The loop waits for them before the next aggregation and
+before writing `metrics.csv`, so a write error stops the run there.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .spectral import CfaSchedule, cfa_aggregate, schedule_threshold
 from .tensors import ParameterSet, require_all_congruent, require_finite
 
 AGGREGATORS = ("fedavg", "cfa")
+WRITER_THREAD_PREFIX = "fedspectra-checkpoint"
 DOMAIN_MODES = ("complex", "amplitude_phase")
 
 METRICS_HEADER = [
@@ -213,6 +223,9 @@ class _Client:
     def models(self) -> Dict[str, Network]:
         return {"model": self.model}
 
+    def checkpoint_sets(self) -> Dict[str, ParameterSet]:
+        return {"model": self.last_received}
+
 
 Client = Union[_Client, cto.ClientState]
 
@@ -353,18 +366,21 @@ def _max_workers(n_clients: int) -> int:
     return max(1, min(cap, n_clients))
 
 
-def _write_checkpoint(out_dir: Path, round_idx: int, client: Client) -> None:
-    for model_name, net in client.models().items():
+def _write_checkpoint(
+    out_dir: Path, round_idx: int, client_id: int, sets: Dict[str, ParameterSet]
+) -> None:
+    """Write one client's {model name: set}; each manifest.csv comes last."""
+    for model_name, ps in sets.items():
         cdir = (
             out_dir
             / "checkpoints"
             / f"round_{round_idx:03d}"
-            / f"client_{client.client_id}"
+            / f"client_{client_id}"
             / model_name
         )
         cdir.mkdir(parents=True, exist_ok=True)
         rows = []
-        for entry in net.parameters():
+        for entry in ps.entries:
             fname = f"{entry.name}.fmmt"
             fmmt.write_tensor(cdir / fname, entry.tensor)
             rows.append(
@@ -414,6 +430,10 @@ def run_experiment(
     reports: List[RoundReport] = []
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    saver = None
+    if out_dir is not None and cfg.save_checkpoints:
+        saver = ThreadPoolExecutor(max_workers=1, thread_name_prefix=WRITER_THREAD_PREFIX)
+    pending = []  # the previous round's checkpoint writes
     try:
         for epoch in range(cfg.total_epochs):
             run = pool.map if pool is not None else map
@@ -425,6 +445,8 @@ def run_experiment(
             round_idx = (epoch + 1) // cfg.comm_interval
             s = schedule_threshold(cfg.cfa, epoch + 1) if cfg.aggregator == "cfa" else None
             uploads = [c.upload() for c in clients]
+            for write in pending:
+                write.result()  # re-raises a write's error
             new_sets = _aggregate(cfg, uploads, weights, s if s is not None else 0.0)
             for c, ps in zip(clients, new_sets):
                 c.receive(ps)
@@ -440,12 +462,21 @@ def run_experiment(
             for c in clients:
                 records.extend(_evaluate_round(c, round_idx, epoch + 1, classes))
             reports.append(RoundReport(round_idx, epoch + 1, records))
-            if out_dir is not None and cfg.save_checkpoints:
-                for c in clients:
-                    _write_checkpoint(Path(out_dir), round_idx, c)
+            if saver is not None:
+                pending = [
+                    saver.submit(
+                        _write_checkpoint, Path(out_dir), round_idx, c.client_id,
+                        c.checkpoint_sets(),
+                    )
+                    for c in clients
+                ]
+        for write in pending:
+            write.result()
     finally:
         if pool is not None:
             pool.shutdown()
+        if saver is not None:
+            saver.shutdown()
 
     if out_dir is not None:
         out_dir = Path(out_dir)

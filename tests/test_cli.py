@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 
@@ -259,6 +261,25 @@ class TestRunCommand:
         key = setting.split("=")[0]
         assert f"config error: --set: bad value for '{key}'" in err
         assert not out.exists()
+
+    def test_out_is_a_file_exits_1(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.EEXIST)}: {out}\n"
+
+    def test_blocked_checkpoint_dir_exits_1(self, tiny_cfg, tmp_path, capsys):
+        # the write fails on the checkpoint writer's thread; the run loop re-raises it
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoints").write_text("")
+        argv = ["run", "--config", str(tiny_cfg), "--out", str(out)]
+        rc = main(argv + ["--set", "save_checkpoints=true", "--set", "total_epochs=4"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {os.strerror(errno.ENOTDIR)}: {out / 'checkpoints'}")
+        assert not (out / "metrics.csv").exists()
 
     def test_determinism_across_invocations(self, tiny_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,10 +1,12 @@
+import csv
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
 
-from fedspectra import cto
+from fedspectra import cto, federation, fmmt
 from fedspectra.datasynth import SynthSpec, generate
 from fedspectra.errors import ConfigError, DomainError, NonFiniteError
 from fedspectra.federation import (
@@ -201,8 +203,6 @@ class TestRunExperiment:
             )
 
     def test_fedavg_all_clients_identical_after_round(self, tmp_path):
-        from fedspectra import fmmt
-
         parts = tiny_partitions()
         cfg = tiny_config(comm_interval=4, total_epochs=4, save_checkpoints=True)
         run_experiment(cfg, parts, out_dir=tmp_path)
@@ -214,8 +214,6 @@ class TestRunExperiment:
             assert np.array_equal(fmmt.read_tensor(f0), fmmt.read_tensor(f1))
 
     def test_cfa_all_clients_differ_outside_mask(self, tmp_path):
-        from fedspectra import fmmt
-
         parts = tiny_partitions()
         cfg = tiny_config(
             aggregator="cfa",
@@ -383,8 +381,6 @@ class TestRunExperiment:
         assert counts == [[1, 1], [2, 2]]
 
     def test_fedbn_keeps_bn_local(self, tmp_path):
-        from fedspectra import fmmt
-
         parts = tiny_partitions(size=12)
         cfg = tiny_config(
             arch="smallcnn_bn",
@@ -395,10 +391,8 @@ class TestRunExperiment:
         )
         run_experiment(cfg, parts, out_dir=tmp_path)
         base = tmp_path / "checkpoints" / "round_001"
-        import csv as _csv
-
         with open(base / "client_0" / "model" / "manifest.csv") as f:
-            rows = list(_csv.DictReader(f))
+            rows = list(csv.DictReader(f))
         bn_files = [r["filename"] for r in rows if r["is_batchnorm"] == "true"]
         other_files = [r["filename"] for r in rows if r["is_batchnorm"] == "false"]
         assert bn_files and other_files
@@ -414,6 +408,167 @@ class TestRunExperiment:
             for fname in bn_files
         )
         assert any_bn_differs
+
+
+def _reference_write_checkpoint(out_dir, round_idx, client):
+    """The synchronous checkpoint writer that ran at the end of each round
+    before checkpoints moved to a background thread: every model's live
+    parameters, read from the network."""
+    for model_name, net in client.models().items():
+        cdir = (
+            out_dir
+            / "checkpoints"
+            / f"round_{round_idx:03d}"
+            / f"client_{client.client_id}"
+            / model_name
+        )
+        cdir.mkdir(parents=True, exist_ok=True)
+        rows = []
+        for entry in net.parameters():
+            fname = f"{entry.name}.fmmt"
+            fmmt.write_tensor(cdir / fname, entry.tensor)
+            rows.append(
+                (entry.name, entry.kind, str(entry.is_batchnorm).lower(), fname)
+            )
+        with open(cdir / "manifest.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["name", "kind", "is_batchnorm", "filename"])
+            writer.writerows(rows)
+
+
+def _tree(root):
+    """{relative path: bytes} for every file under root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _writer_threads():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(federation.WRITER_THREAD_PREFIX)
+    ]
+
+
+class TestCheckpointWriter:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(aggregator="cfa", cto_enabled=True, arch="smallcnn"),
+            dict(
+                aggregator="fedavg", arch="smallcnn_bn", fedprox_mu=0.01,
+                fedbn_exclude_bn=True,
+            ),
+        ],
+        ids=["cfa_cto", "fedavg_fedprox_fedbn"],
+    )
+    def test_bytes_match_synchronous_reference(self, tmp_path, monkeypatch, overrides):
+        # The reference saves each client right after its round evaluation,
+        # where the synchronous loop saved it; no later step of the round
+        # touches that client's models.
+        ref = tmp_path / "ref"
+        evaluate_round = federation._evaluate_round
+
+        def evaluate_then_save(client, round_idx, epoch, classes):
+            records = evaluate_round(client, round_idx, epoch, classes)
+            _reference_write_checkpoint(ref, round_idx, client)
+            return records
+
+        monkeypatch.setattr(federation, "_evaluate_round", evaluate_then_save)
+        cfg = tiny_config(
+            num_clients=3, comm_interval=1, total_epochs=3, save_checkpoints=True,
+            **overrides,
+        )
+        run_experiment(cfg, tiny_partitions(n_clients=3, size=12), out_dir=tmp_path / "run")
+        got = _tree(tmp_path / "run" / "checkpoints")
+        want = _tree(ref / "checkpoints")
+        models = {"deputy", "personalized"} if cfg.cto_enabled else {"model"}
+        assert {path.split("/")[2] for path in want} == models
+        assert {path.split("/")[0] for path in want} == {
+            "round_001", "round_002", "round_003"
+        }
+        assert got == want
+
+    def test_same_bytes_at_any_thread_count(self, tmp_path, monkeypatch):
+        cfg = tiny_config(
+            num_clients=3, aggregator="cfa", cto_enabled=True, arch="smallcnn",
+            comm_interval=1, total_epochs=2, save_checkpoints=True,
+        )
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FEDSPECTRA_THREADS", threads)
+            run_experiment(cfg, tiny_partitions(n_clients=3, size=12), out_dir=tmp_path / threads)
+        one, two = _tree(tmp_path / "1"), _tree(tmp_path / "2")
+        assert {"metrics.csv", "events.jsonl"} <= set(one)
+        assert any(path.startswith("checkpoints/round_002/") for path in one)
+        assert one == two
+
+    def test_writes_on_the_writer_thread(self, tmp_path, monkeypatch):
+        names = []
+        write = federation._write_checkpoint
+
+        def recording(*args):
+            names.append(threading.current_thread().name)
+            return write(*args)
+
+        monkeypatch.setattr(federation, "_write_checkpoint", recording)
+        run_experiment(tiny_config(save_checkpoints=True), tiny_partitions(), out_dir=tmp_path)
+        assert len(names) == 2 * 2  # rounds x clients
+        assert all(n.startswith(federation.WRITER_THREAD_PREFIX) for n in names)
+        assert not _writer_threads()
+
+    def test_no_writer_without_checkpoints(self, tmp_path, monkeypatch):
+        def no_write(*args):
+            raise AssertionError("wrote a checkpoint")
+
+        monkeypatch.setattr(federation, "_write_checkpoint", no_write)
+        run_experiment(tiny_config(save_checkpoints=False), tiny_partitions(), out_dir=tmp_path)
+        run_experiment(tiny_config(save_checkpoints=True), tiny_partitions())
+        assert not (tmp_path / "checkpoints").exists()
+
+    def test_write_error_stops_run_at_next_aggregation(self, tmp_path, monkeypatch):
+        (tmp_path / "checkpoints").write_text("")
+        calls = []
+        aggregate = federation._aggregate
+
+        def counting(*args):
+            calls.append(1)
+            return aggregate(*args)
+
+        monkeypatch.setattr(federation, "_aggregate", counting)
+        with pytest.raises(NotADirectoryError):
+            run_experiment(tiny_config(save_checkpoints=True), tiny_partitions(), out_dir=tmp_path)
+        assert len(calls) == 1  # round 2 never aggregated
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "events.jsonl").exists()
+        assert not _writer_threads()
+
+    def test_error_on_last_round_raises_before_artifacts(self, tmp_path):
+        (tmp_path / "checkpoints").write_text("")
+        cfg = tiny_config(comm_interval=4, total_epochs=4, save_checkpoints=True)
+        with pytest.raises(NotADirectoryError):
+            run_experiment(cfg, tiny_partitions(), out_dir=tmp_path)
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not _writer_threads()
+
+    def test_non_finite_mid_run_leaves_no_writer(self, tmp_path, monkeypatch):
+        calls = []
+        aggregate = federation._aggregate
+
+        def poisoned(cfg, uploads, weights, s):
+            calls.append(1)
+            if len(calls) == 2:
+                uploads[0].entries[0].tensor[...] = np.nan
+            return aggregate(cfg, uploads, weights, s)
+
+        monkeypatch.setattr(federation, "_aggregate", poisoned)
+        with pytest.raises(NonFiniteError):
+            run_experiment(tiny_config(save_checkpoints=True), tiny_partitions(), out_dir=tmp_path)
+        assert not _writer_threads()
+        # round 1's write finished before the writer shut down
+        assert (tmp_path / "checkpoints" / "round_001" / "client_1" / "model" / "manifest.csv").exists()
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 def _twin(net):
