@@ -116,20 +116,23 @@ def _final_summary(run_dir: Path) -> dict:
         rows = list(csv.DictReader(f))
     if not rows:
         raise FedSpectraError(f"no evaluation rows in {path}")
-    final_round = max(int(r["round"]) for r in rows)
-    model = next(m for m in PREFERRED_MODELS if any(r["model"] == m for r in rows))
-    selected = [
-        r
-        for r in rows
-        if int(r["round"]) == final_round and r["model"] == model and r["split"] == "test"
-    ]
-    if not selected:
-        raise FedSpectraError(f"no final-round test rows in {path}")
     keys = ("accuracy", "macro_f1", "macro_auc")
-    clients = {
-        r["client_id"]: {k: _defined(float(r[k])) for k in keys}
-        for r in sorted(selected, key=lambda r: int(r["client_id"]))
-    }
+    try:
+        final_round = max(int(r["round"]) for r in rows)
+        model = next((m for m in PREFERRED_MODELS if any(r["model"] == m for r in rows)), None)
+        selected = [
+            r
+            for r in rows
+            if int(r["round"]) == final_round and r["model"] == model and r["split"] == "test"
+        ]
+        if not selected:
+            raise FedSpectraError(f"no final-round test rows in {path}")
+        clients = {
+            r["client_id"]: {k: _defined(float(r[k])) for k in keys}
+            for r in sorted(selected, key=lambda r: int(r["client_id"]))
+        }
+    except (KeyError, TypeError, ValueError) as exc:  # no column, short row, bad number
+        raise FedSpectraError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
     avg = {}
     for k in keys:  # over the clients where the metric is defined
         vals = [v[k] for v in clients.values() if v[k] is not None]

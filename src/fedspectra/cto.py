@@ -1,7 +1,7 @@
 """Per-client three-phase knowledge-transfer state machine.
 
 Each client keeps a personalized model q and a deputy model c. The deputy
-receives the server aggregate; the phases control who teaches whom:
+receives the server aggregate. `_LESSONS` is the phase law, who teaches whom:
 
   retrieve    q teaches c (c recovers from the aggregation shock)
   reciprocate mutual distillation between q and c
@@ -99,6 +99,15 @@ def on_receive(state: ClientState, aggregated: ParameterSet) -> None:
     state.phase = CtoPhase.RETRIEVE
 
 
+# Each phase's lessons, (student, teacher or None) in training order; a
+# teacher adds KL(teacher || student) to the student's cross-entropy.
+_LESSONS = {
+    CtoPhase.RETRIEVE: (("personalized", None), ("deputy", "personalized")),
+    CtoPhase.RECIPROCATE: (("deputy", "personalized"), ("personalized", "deputy")),
+    CtoPhase.REFINE: (("personalized", "deputy"), ("deputy", None)),
+}
+
+
 def train_batch(
     state: ClientState,
     batch: np.ndarray,
@@ -110,49 +119,29 @@ def train_batch(
     """One phase-dependent update on both models; returns (loss_q, loss_c).
 
     Teacher distributions are taken before either model updates, only for
-    the models whose teacher output the phase reads (q's in retrieve, c's
-    in refine, both in reciprocate), and are constants during
+    the teachers the phase's lessons name, and are constants during
     differentiation. The optional proximal term anchors the deputy to the
-    last received server parameters.
+    last received server parameters. With `refine_trains_deputy` off,
+    refine's deputy lesson is dropped and the deputy's teacher output is
+    scored instead.
     """
-    q, c = state.personalized, state.deputy
-    if state.phase is not CtoPhase.REFINE:
-        q_teacher = q.forward(batch, train=False)
-    if state.phase is not CtoPhase.RETRIEVE:
-        c_teacher = c.forward(batch, train=False)
-    prox = (fedprox_mu, state.last_received)
-
-    if state.phase is CtoPhase.RETRIEVE:
-        probs_q = backward(q, batch, labels)
-        sgd_step(q, epoch, lr_sch)
-        loss_q = cross_entropy(probs_q, labels)
-
-        probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
-        sgd_step(c, epoch, lr_sch, prox=prox)
-        loss_c = cross_entropy(probs_c, labels) + kl_divergence(q_teacher, probs_c)
-
-    elif state.phase is CtoPhase.RECIPROCATE:
-        probs_c = backward(c, batch, labels, teacher_probs=q_teacher)
-        sgd_step(c, epoch, lr_sch, prox=prox)
-        loss_c = cross_entropy(probs_c, labels) + kl_divergence(q_teacher, probs_c)
-
-        probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
-        sgd_step(q, epoch, lr_sch)
-        loss_q = cross_entropy(probs_q, labels) + kl_divergence(c_teacher, probs_q)
-
-    else:  # REFINE
-        probs_q = backward(q, batch, labels, teacher_probs=c_teacher)
-        sgd_step(q, epoch, lr_sch)
-        loss_q = cross_entropy(probs_q, labels) + kl_divergence(c_teacher, probs_q)
-
-        if state.refine_trains_deputy:
-            probs_c = backward(c, batch, labels)
-            sgd_step(c, epoch, lr_sch, prox=prox)
-            loss_c = cross_entropy(probs_c, labels)
-        else:
-            loss_c = cross_entropy(c_teacher, labels)
-
-    return loss_q, loss_c
+    models = state.models()
+    lessons = _LESSONS[state.phase]
+    teachers = {t: models[t].forward(batch, train=False) for _, t in lessons if t}
+    if state.phase is CtoPhase.REFINE and not state.refine_trains_deputy:
+        lessons = [(s, t) for s, t in lessons if s != "deputy"]
+    losses = {}
+    for student, teacher in lessons:
+        net, taught = models[student], teachers.get(teacher)
+        probs = backward(net, batch, labels, teacher_probs=taught)
+        prox = (fedprox_mu, state.last_received) if student == "deputy" else None
+        sgd_step(net, epoch, lr_sch, prox=prox)
+        losses[student] = cross_entropy(probs, labels)
+        if taught is not None:
+            losses[student] += kl_divergence(taught, probs)
+    if "deputy" not in losses:
+        losses["deputy"] = cross_entropy(teachers["deputy"], labels)
+    return losses["personalized"], losses["deputy"]
 
 
 def maybe_advance(state: ClientState, phi_c: float, phi_q: float) -> CtoPhase:

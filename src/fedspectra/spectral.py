@@ -35,6 +35,8 @@ from .tensors import (
     tensor_mean,
 )
 
+DOMAIN_MODES = ("complex", "amplitude_phase")
+
 # ---------------------------------------------------------------------------
 # 2-D transforms over the last two axes
 
@@ -213,7 +215,7 @@ def cfa_aggregate(
     require_all_congruent(client_sets)
     if mask_override is None and not (0.0 < s < 1.0):
         raise DomainError(f"threshold s={s} outside (0, 1)")
-    if domain_mode not in ("complex", "amplitude_phase"):
+    if domain_mode not in DOMAIN_MODES:
         raise DomainError(f"unknown domain_mode {domain_mode!r}")
     outputs: List[List[ParamEntry]] = [[] for _ in client_sets]
 

@@ -18,11 +18,6 @@ from .errors import CongruenceError, DomainError, NonFiniteError, ShapeError
 KINDS = ("conv4d", "matrix2d", "vector1d")
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a contiguous float64 array."""
-    return np.ascontiguousarray(data, dtype=np.float64)
-
-
 def kind_of(arr: np.ndarray) -> str:
     """Infer the parameter kind from dimensionality."""
     if arr.ndim == 4:
@@ -92,7 +87,7 @@ class ParamEntry:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ShapeError(f"unknown parameter kind {self.kind!r}")
-        self.tensor = as_tensor(self.tensor)
+        self.tensor = np.ascontiguousarray(self.tensor, dtype=np.float64)
         expected = kind_of(self.tensor)
         if expected != self.kind:
             raise ShapeError(

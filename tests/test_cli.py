@@ -10,6 +10,8 @@ from fedspectra.cli import main
 from fedspectra.config import RunConfig, load_config, parse_config_text, serialize_config
 from fedspectra.errors import ConfigError
 
+METRICS_HEADER = "round,epoch,client_id,model,split,accuracy,macro_f1,macro_auc,loss\n"
+
 # Every RunConfig key with its default. Adding, dropping or re-defaulting a key
 # changes what existing config files mean.
 RUN_CONFIG_DEFAULTS = {
@@ -397,14 +399,29 @@ class TestReportCommand:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_report_empty_csv_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            (METRICS_HEADER, "no evaluation rows"),
+            (METRICS_HEADER + "1,10,0,server,test,0.5,0.5,0.5,1.0\n", "no final-round test rows"),
+            (METRICS_HEADER + "x,10,0,model,test,0.5,0.5,0.5,1.0\n", "ValueError: invalid literal"),
+            (
+                "epoch,client_id,model,split,accuracy,macro_f1,macro_auc,loss\n"
+                "10,0,model,test,0.5,0.5,0.5,1.0\n",
+                "KeyError: 'round'",
+            ),
+        ],
+        ids=["header_only", "unknown_model", "round_not_int", "no_round_column"],
+    )
+    def test_report_empty_csv_exits_1(self, tmp_path, capsys, text, problem):
         run_dir = tmp_path / "empty"
         run_dir.mkdir()
-        (run_dir / "metrics.csv").write_text(
-            "round,epoch,client_id,model,split,accuracy,macro_f1,macro_auc,loss\n"
-        )
+        (run_dir / "metrics.csv").write_text(text)
         rc = main(["report", str(run_dir)])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "metrics.csv" in err and problem in err
 
 
 class TestGenDataCommand:

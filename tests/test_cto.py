@@ -197,23 +197,30 @@ class TestTrainBatch:
         sgd_step(solo, 0, LrSchedule())
         assert solo.parameters().identical(q_with_c)
 
-    def test_matches_scripted_reference_simulation(self, rng):
+    @pytest.mark.parametrize("refine_trains_deputy", [True, False], ids=["refine", "frozen"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5], ids=["mu0", "mu0.5"])
+    def test_matches_scripted_reference_simulation(self, rng, mu, refine_trains_deputy):
         # independent step-by-step re-implementation of the phase rules
         batch = rng.normal(size=(5, 1, 8, 8))
         labels = rng.integers(0, 3, size=5)
         sch = LrSchedule()
+        # a FedProx anchor that differs from the weights, so mu > 0 moves them
+        anchor = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(7)).parameters()
 
-        state = make_state(rng)
+        state = make_state(rng, refine_trains_deputy=refine_trains_deputy)
+        state.last_received = anchor
+        assert not anchor.allclose(state.deputy.parameters(), atol=1e-3)
         phases = [CtoPhase.RETRIEVE, CtoPhase.RECIPROCATE, CtoPhase.REFINE]
         observed = []
         for phase in phases:
             state.phase = phase
-            observed.append(train_batch(state, batch, labels, 0, sch))
+            observed.append(train_batch(state, batch, labels, 0, sch, mu))
 
         init = np.random.default_rng(42)
         q = build_network("tiny_mlp", 1, 8, 8, 3, init)
         c = build_network("tiny_mlp", 1, 8, 8, 3, init)
         c.import_parameters(q.parameters())
+        prox = (mu, anchor)  # the deputy's only
         expected = []
         for phase in phases:
             qt = q.forward(batch)
@@ -223,11 +230,11 @@ class TestTrainBatch:
                 sgd_step(q, 0, sch)
                 lq = cross_entropy(pq, labels)
                 pc = backward(c, batch, labels, teacher_probs=qt)
-                sgd_step(c, 0, sch)
+                sgd_step(c, 0, sch, prox=prox)
                 lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
             elif phase is CtoPhase.RECIPROCATE:
                 pc = backward(c, batch, labels, teacher_probs=qt)
-                sgd_step(c, 0, sch)
+                sgd_step(c, 0, sch, prox=prox)
                 lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
                 pq = backward(q, batch, labels, teacher_probs=ct)
                 sgd_step(q, 0, sch)
@@ -236,14 +243,15 @@ class TestTrainBatch:
                 pq = backward(q, batch, labels, teacher_probs=ct)
                 sgd_step(q, 0, sch)
                 lq = cross_entropy(pq, labels) + kl_divergence(ct, pq)
-                pc = backward(c, batch, labels)
-                sgd_step(c, 0, sch)
-                lc = cross_entropy(pc, labels)
+                if refine_trains_deputy:
+                    pc = backward(c, batch, labels)
+                    sgd_step(c, 0, sch, prox=prox)
+                    lc = cross_entropy(pc, labels)
+                else:  # the frozen deputy is only scored
+                    lc = cross_entropy(ct, labels)
             expected.append((lq, lc))
 
-        for (lq_o, lc_o), (lq_e, lc_e) in zip(observed, expected):
-            assert lq_o == pytest.approx(lq_e, abs=1e-12)
-            assert lc_o == pytest.approx(lc_e, abs=1e-12)
+        assert observed == expected
         assert state.personalized.parameters().identical(q.parameters())
         assert state.deputy.parameters().identical(c.parameters())
 

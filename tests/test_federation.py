@@ -107,14 +107,32 @@ def _smallcnn_bn_uploads(n=3):
 
 class TestAggregateOwnership:
     @pytest.mark.parametrize(
-        "aggregator,fedbn", [("cfa", False), ("cfa", True), ("fedavg", False), ("fedavg", True)]
+        "aggregator,fedbn,bn_only",
+        [
+            ("cfa", False, False),
+            ("cfa", True, False),
+            ("fedavg", False, False),
+            ("fedavg", True, False),
+            ("cfa", True, True),
+            ("fedavg", True, True),
+        ],
+        ids=[
+            "cfa-False", "cfa-True", "fedavg-False", "fedavg-True",
+            "cfa-all_retained", "fedavg-all_retained",
+        ],
     )
-    def test_uploads_unchanged(self, aggregator, fedbn):
+    def test_uploads_unchanged(self, aggregator, fedbn, bn_only):
         uploads = _smallcnn_bn_uploads()
+        if bn_only:  # a batch-norm-only network: FedBN retains every entry
+            uploads = [fedbn_filter(u)[1] for u in uploads]
         before = [u.copy() for u in uploads]
         cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=fedbn, num_clients=3)
         out = _aggregate(cfg, uploads, [3, 1, 2], 0.3)
-        assert not out[0].identical(before[0])  # aggregation did change the model
+        if bn_only:  # each client gets its own entries back
+            for o, b in zip(out, before):
+                assert o.identical(b)
+        else:
+            assert not out[0].identical(before[0])  # aggregation did change the model
         for u, b in zip(uploads, before):
             assert u.identical(b)
 
