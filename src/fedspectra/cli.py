@@ -103,7 +103,9 @@ def cmd_run(args) -> int:
 
 def _defined(value: float) -> Optional[float]:
     """None for a metric that is undefined (NaN), such as the AUC of a
-    split holding a single class."""
+    split holding a single class. No metric can be infinite."""
+    if math.isinf(value):
+        raise ValueError(f"infinite metric {value}")
     return None if math.isnan(value) else value
 
 
@@ -131,6 +133,8 @@ def _final_summary(run_dir: Path) -> dict:
             r["client_id"]: {k: _defined(float(r[k])) for k in keys}
             for r in sorted(selected, key=lambda r: int(r["client_id"]))
         }
+        if len(clients) != len(selected):
+            raise ValueError("a client has more than one final-round test row")
     except (KeyError, TypeError, ValueError) as exc:  # no column, short row, bad number
         raise FedSpectraError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
     avg = {}

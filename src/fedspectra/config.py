@@ -1,9 +1,9 @@
 """Line-based `key = value` run configuration.
 
-Strict parsing: unknown keys are hard errors (silent hyperparameter typos
-ruin experiments). `#` starts a comment. The resolved configuration is
-serialized back in the same format and must re-parse to an identical
-config.
+Strict parsing: unknown keys and a key set twice are hard errors (silent
+hyperparameter typos ruin experiments). `#` starts a comment. The
+resolved configuration is serialized back in the same format and must
+re-parse to an identical config.
 """
 
 from __future__ import annotations
@@ -95,14 +95,18 @@ def apply_setting(cfg: RunConfig, key: str, raw: str, where: str = "override") -
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     cfg = RunConfig()
+    seen = {}  # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`")
-        key, raw = stripped.split("=", 1)
-        apply_setting(cfg, key.strip(), raw, where=f"{source}:{lineno}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        apply_setting(cfg, key, raw, where=f"{source}:{lineno}")
     return cfg
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .datasynth import ClientPartition
 from .errors import DomainError
-from .nn import LrSchedule, Network, backward, cross_entropy, kl_divergence, sgd_step
+from .nn import Network, backward, cross_entropy, kl_divergence, sgd_step
 from .tensors import ParameterSet
 
 
@@ -58,8 +58,8 @@ class ClientState:
             )
         self.personalized.parameters().require_congruent(self.deputy.parameters())
 
-    def step(self, images, labels, epoch: int, lr: LrSchedule, mu: float) -> None:
-        train_batch(self, images, labels, epoch, lr, mu)
+    def step(self, images, labels, lr: float, mu: float) -> None:
+        train_batch(self, images, labels, lr, mu)
 
     def end_epoch(self, epoch: int) -> dict:
         """Evaluate the phase guard on the validation split; the guard event."""
@@ -112,8 +112,7 @@ def train_batch(
     state: ClientState,
     batch: np.ndarray,
     labels,
-    epoch: int,
-    lr_sch: LrSchedule,
+    lr: float,
     fedprox_mu: float = 0.0,
 ) -> Tuple[float, float]:
     """One phase-dependent update on both models; returns (loss_q, loss_c).
@@ -135,7 +134,7 @@ def train_batch(
         net, taught = models[student], teachers.get(teacher)
         probs = backward(net, batch, labels, teacher_probs=taught)
         prox = (fedprox_mu, state.last_received) if student == "deputy" else None
-        sgd_step(net, epoch, lr_sch, prox=prox)
+        sgd_step(net, lr, prox=prox)
         losses[student] = cross_entropy(probs, labels)
         if taught is not None:
             losses[student] += kl_divergence(taught, probs)

@@ -12,7 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,28 +53,20 @@ class ClientPartition:
             raise DomainError(f"unknown split {name!r}; expected one of {SPLITS}")
         return getattr(self, name)
 
-    def total(self) -> int:
-        return len(self.train) + len(self.val) + len(self.test)
 
-
-@dataclass
+@dataclass(kw_only=True)
 class SynthSpec:
     classes: int = 3
     channels: int = 1
     height: int = 32
     width: int = 32
     # per-client per-class sample counts (rows = clients)
-    client_class_counts: Optional[List[List[int]]] = None
-    brightness: Optional[List[float]] = None  # per-client offset
-    contrast: Optional[List[float]] = None  # per-client gain
+    client_class_counts: List[List[int]]
+    brightness: List[float]  # per-client offset
+    contrast: List[float]  # per-client gain
     noise_level: float = 0.05
     jitter: bool = True
     seed: int = 0
-
-    def resolved_counts(self) -> List[List[int]]:
-        if self.client_class_counts is None:
-            return [list(row) for row in default_class_counts(4, 0.1)]
-        return self.client_class_counts
 
 
 def default_class_counts(num_clients: int, scale: float) -> List[List[int]]:
@@ -168,7 +160,7 @@ def _stratified_split(
 
 def generate(spec: SynthSpec) -> List[ClientPartition]:
     """Materialize the synthetic corpus; deterministic in the spec."""
-    counts = spec.resolved_counts()
+    counts = spec.client_class_counts
     n_clients = len(counts)
     for row in counts:
         if len(row) != spec.classes:
@@ -179,9 +171,7 @@ def generate(spec: SynthSpec) -> List[ClientPartition]:
             raise ConfigError("negative class count")
         if sum(row) == 0:
             raise ConfigError("client with zero samples")
-    brightness = spec.brightness or default_style(n_clients)[0]
-    contrast = spec.contrast or default_style(n_clients)[1]
-    if len(brightness) != n_clients or len(contrast) != n_clients:
+    if len(spec.brightness) != n_clients or len(spec.contrast) != n_clients:
         raise ConfigError("style parameter lists must have one entry per client")
 
     partitions = []
@@ -199,7 +189,7 @@ def generate(spec: SynthSpec) -> List[ClientPartition]:
                     rng,
                     spec.jitter,
                 )
-                img = contrast[cid] * img + brightness[cid]
+                img = spec.contrast[cid] * img + spec.brightness[cid]
                 if spec.noise_level > 0:
                     img = img + rng.normal(0.0, spec.noise_level, img.shape)
                 images.append(img)

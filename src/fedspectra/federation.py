@@ -10,9 +10,9 @@ Every client, the baseline `_Client` here and the deputy machine
 `cto.ClientState`, offers one protocol to the round loop:
 
   client_id, data, rng          identity, local splits, private RNG stream
-  step(images, labels, epoch, lr, mu)
-                                one local SGD update on a batch; `mu` is the
-                                FedProx weight toward the last received set
+  step(images, labels, lr, mu)  one local SGD update on a batch at learning
+                                rate `lr`; `mu` is the FedProx weight toward
+                                the last received set
   end_epoch(epoch)              per-epoch hook; returns an event dict or None
   upload()                      the parameter set sent to the server
   receive(ps)                   install a server aggregate
@@ -194,9 +194,9 @@ class _Client:
     rng: np.random.Generator
     last_received: Optional[ParameterSet] = None
 
-    def step(self, images, labels, epoch: int, lr: LrSchedule, mu: float) -> None:
+    def step(self, images, labels, lr: float, mu: float) -> None:
         backward(self.model, images, labels)
-        sgd_step(self.model, epoch, lr, prox=(mu, self.last_received))
+        sgd_step(self.model, lr, prox=(mu, self.last_received))
 
     def end_epoch(self, epoch: int) -> Optional[dict]:
         return None
@@ -232,13 +232,13 @@ def client_local_epoch(
     n = len(train)
     if n == 0:
         raise DomainError(f"client {client.client_id} has no training data")
-    lr = cfg.lr
+    lr = cfg.lr.at(epoch)
     for idx in _batches(n, cfg.batch_size, client.rng):
         images = train.images[idx]
         labels = train.labels[idx]
         if cfg.augment:
             images = np.stack([augment(im, client.rng) for im in images])
-        client.step(images, labels, epoch, lr, cfg.fedprox_mu)
+        client.step(images, labels, lr, cfg.fedprox_mu)
     return client.end_epoch(epoch)
 
 

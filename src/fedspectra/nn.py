@@ -1,9 +1,9 @@
 """Minimal feed-forward network with hand-derived gradients.
 
 Layers: valid 2-D convolution, dense, relu, 2x2 max pooling, batch norm
-(with running stats), flatten. The network ends in a softmax over the last
-dense layer's logits. No autodiff tape: each layer implements its own
-backward pass, checked against finite differences in the test suite.
+(conv feature maps only, with running stats), flatten; a softmax over the
+last dense layer's logits ends the network. No autodiff tape: each layer
+implements its own backward pass, checked against finite differences.
 
 Copy rule: a Network owns its arrays. `import_parameters` copies in,
 `parameters()` and `gradients()` copy out. `backward` leaves gradients in
@@ -69,11 +69,10 @@ class Layer:
 class Conv2d(Layer):
     """Valid cross-correlation, stride 1. Weight shape [out_ch, in_ch, kh, kw]."""
 
-    def __init__(self, out_ch: int, in_ch: int, kh: int, kw: int, rng=None):
+    def __init__(self, out_ch: int, in_ch: int, kh: int, kw: int, rng: np.random.Generator):
         super().__init__()
         fan_in = in_ch * kh * kw
         scale = np.sqrt(2.0 / fan_in)
-        rng = rng or np.random.default_rng(0)
         self.params["weight"] = rng.normal(0.0, scale, (out_ch, in_ch, kh, kw))
         self.params["bias"] = np.zeros(out_ch)
         self.kh, self.kw = kh, kw
@@ -129,9 +128,8 @@ class Conv2d(Layer):
 class Dense(Layer):
     """Affine map. Weight shape [out, in]."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng=None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_dim)
         self.params["weight"] = rng.normal(0.0, scale, (out_dim, in_dim))
         self.params["bias"] = np.zeros(out_dim)
@@ -215,44 +213,36 @@ class Flatten(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, for conv
+    feature maps [n, c, h, w] only.
 
-    Works on conv feature maps [n, c, h, w] and dense activations [n, c].
     Training uses batch statistics; eval uses the running estimates. The
     running stats are exported as non-trainable batchnorm-flagged entries.
-    A training forward caches only the normalized input `xhat`, the
-    per-channel `inv_std` and the reduction axes, not the input; backward
-    builds `dx` in the storage of its `dy`.
+    A training forward caches only the normalized input `xhat` and the
+    per-channel `inv_std`, not the input; backward builds `dx` in the
+    storage of its `dy`.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1
+    eps = 1e-5
+    axes = (0, 2, 3)  # every axis but the channel's
+
+    def __init__(self, channels: int):
         super().__init__()
         self.params["gamma"] = np.ones(channels)
         self.params["beta"] = np.zeros(channels)
         self.buffers["running_mean"] = np.zeros(channels)
         self.buffers["running_var"] = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-
-    @staticmethod
-    def _axes(x):
-        if x.ndim == 4:
-            return (0, 2, 3)
-        if x.ndim == 2:
-            return (0,)
-        raise ShapeError(f"batchnorm expects 2-D or 4-D input, got {x.ndim}-D")
-
-    def _expand(self, v, ndim):
-        return v.reshape((1, -1) + (1,) * (ndim - 2))
 
     def forward(self, x, train):
-        axes = self._axes(x)
+        if x.ndim != 4:
+            raise ShapeError(f"batchnorm expects [n, c, h, w] input, got {x.ndim}-D")
         if train:
             m = x.size // x.shape[1]
-            mean = x.sum(axis=axes) / m
-            xhat = x - self._expand(mean, x.ndim)
+            mean = x.sum(axis=self.axes) / m
+            xhat = x - mean[:, None, None]
             y = np.multiply(xhat, xhat)  # scratch until it becomes the output
-            var = y.sum(axis=axes) / m
+            var = y.sum(axis=self.axes) / m
             self.buffers["running_mean"] = (
                 (1 - self.momentum) * self.buffers["running_mean"]
                 + self.momentum * mean
@@ -264,34 +254,34 @@ class BatchNorm(Layer):
         else:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
-            xhat = y = x - self._expand(mean, x.ndim)
+            xhat = y = x - mean[:, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= self._expand(inv_std, x.ndim)
-        np.multiply(xhat, self._expand(self.params["gamma"], x.ndim), out=y)
-        y += self._expand(self.params["beta"], x.ndim)
+        xhat *= inv_std[:, None, None]
+        np.multiply(xhat, self.params["gamma"][:, None, None], out=y)
+        y += self.params["beta"][:, None, None]
         if train:
-            self._cache = (xhat, inv_std, axes)
+            self._cache = (xhat, inv_std)
         return y
 
     def backward(self, dy, need_dx=True):
-        xhat, inv_std, axes = self._release()
+        xhat, inv_std = self._release()
         scratch = np.multiply(dy, xhat)
-        self.grads["gamma"] = scratch.sum(axis=axes)
-        self.grads["beta"] = dy.sum(axis=axes)
+        self.grads["gamma"] = scratch.sum(axis=self.axes)
+        self.grads["beta"] = dy.sum(axis=self.axes)
         if not need_dx:
             return None
         # dx = (inv_std/m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
         # built in dy's storage, which first becomes dxhat = dy*gamma
         m = xhat.size // xhat.shape[1]
-        dy *= self._expand(self.params["gamma"], dy.ndim)
-        sum_dxhat = self._expand(dy.sum(axis=axes), dy.ndim)
+        dy *= self.params["gamma"][:, None, None]
+        sum_dxhat = dy.sum(axis=self.axes)[:, None, None]
         np.multiply(dy, xhat, out=scratch)
-        sum_dxhat_xhat = self._expand(scratch.sum(axis=axes), dy.ndim)
+        sum_dxhat_xhat = scratch.sum(axis=self.axes)[:, None, None]
         np.multiply(xhat, sum_dxhat_xhat, out=scratch)
         dy *= m
         dy -= sum_dxhat
         dy -= scratch
-        dy *= self._expand(inv_std, dy.ndim) / m
+        dy *= inv_std[:, None, None] / m
         return dy
 
 
@@ -325,13 +315,6 @@ class Network:
         if x.ndim != 2:
             raise ShapeError("network must end in a 2-D logit matrix")
         return _softmax(x)
-
-    def backward_from_logits(self, dlogits: np.ndarray) -> None:
-        """Backpropagate through every layer; nothing reads the network
-        input's gradient, so the first layer does not compute it."""
-        dy = dlogits
-        for i, (_, layer) in reversed(list(enumerate(self.layers))):
-            dy = layer.backward(dy, need_dx=i > 0)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -394,7 +377,8 @@ def backward(
 
     Leaves the gradients in each layer's `grads` and returns the forward
     probabilities. The softmax/CE/KL logit gradient is (p - onehot)/n plus
-    (p - teacher)/n for the KL term.
+    (p - teacher)/n for the KL term. Nothing reads the network input's
+    gradient, so the first layer does not compute it.
     """
     labels = np.asarray(labels, dtype=np.int64)
     probs = net.forward(batch, train=True)
@@ -404,7 +388,9 @@ def backward(
     if teacher_probs is not None:
         dlogits += probs - teacher_probs
     dlogits /= n
-    net.backward_from_logits(dlogits)
+    dy = dlogits
+    for i, (_, layer) in reversed(list(enumerate(net.layers))):
+        dy = layer.backward(dy, need_dx=i > 0)
     return probs
 
 
@@ -424,14 +410,10 @@ class LrSchedule:
 
 
 def sgd_step(
-    net: Network,
-    epoch: int,
-    sch: LrSchedule,
-    prox: Optional[Tuple[float, Optional[ParameterSet]]] = None,
+    net: Network, lr: float, prox: Optional[Tuple[float, Optional[ParameterSet]]] = None
 ) -> None:
-    """w <- w - lr(epoch) * (g + mu * (w - anchor)) in place, with g from the
-    last `backward`; buffers are untouched. The anchor is only read."""
-    lr = sch.at(epoch)
+    """w <- w - lr * (g + mu * (w - anchor)) in place, with g from the last
+    `backward`; buffers are untouched. The anchor is only read."""
     mu, anchor = (0.0, None) if prox is None else prox
     for lname, layer in net.layers:
         for pname, w in layer.params.items():

@@ -92,6 +92,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"<config>:1"):
             parse_config_text("num_clients = four\n")
 
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"<config>:3: key 'num_clients' already set on line 1"):
+            parse_config_text("num_clients = 4\nseed = 1\nnum_clients = 8\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match=r"<config>:2.*key = value"):
             parse_config_text("seed = 1\nnum_clients 4\n")
@@ -410,8 +414,17 @@ class TestReportCommand:
                 "10,0,model,test,0.5,0.5,0.5,1.0\n",
                 "KeyError: 'round'",
             ),
+            (METRICS_HEADER + "1,10,0,model,test,inf,0.5,0.5,1.0\n", "infinite metric inf"),
+            (
+                METRICS_HEADER
+                + "1,10,0,model,test,0.5,0.5,0.5,1.0\n1,10,0,model,test,0.7,0.7,0.7,0.9\n",
+                "more than one final-round test row",
+            ),
         ],
-        ids=["header_only", "unknown_model", "round_not_int", "no_round_column"],
+        ids=[
+            "header_only", "unknown_model", "round_not_int", "no_round_column",
+            "infinite_metric", "repeated_client",
+        ],
     )
     def test_report_empty_csv_exits_1(self, tmp_path, capsys, text, problem):
         run_dir = tmp_path / "empty"
@@ -419,9 +432,10 @@ class TestReportCommand:
         (run_dir / "metrics.csv").write_text(text)
         rc = main(["report", str(run_dir)])
         assert rc == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:") and err.count("\n") == 1
         assert "metrics.csv" in err and problem in err
+        assert out == "" and not (run_dir / "summary.json").exists()
 
 
 class TestGenDataCommand:

@@ -7,6 +7,8 @@ from fedspectra.datasynth import ClientPartition, SplitData
 from fedspectra.errors import DomainError
 from fedspectra.nn import LrSchedule, Network, backward, build_network, cross_entropy, kl_divergence, sgd_step
 
+LR = LrSchedule().at(0)  # the default schedule's first-epoch rate
+
 
 def toy_partition(rng, n_train=20, n_val=9, n_test=9, size=8):
     def split(n):
@@ -125,7 +127,7 @@ class TestTrainBatch:
         state = make_state(rng)  # q and c identical at init
         batch, labels = self._batch(rng)
         probs = state.deputy.forward(batch)
-        _, loss_c = train_batch(state, batch, labels, 0, LrSchedule())
+        _, loss_c = train_batch(state, batch, labels, LR)
         assert loss_c == pytest.approx(cross_entropy(probs, labels), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -142,7 +144,7 @@ class TestTrainBatch:
         batch, labels = self._batch(rng)
         q_before = state.personalized.parameters()
         c_before = state.deputy.parameters()
-        train_batch(state, batch, labels, 0, LrSchedule())
+        train_batch(state, batch, labels, LR)
         assert state.personalized.parameters().identical(q_before) != q_moves
         assert state.deputy.parameters().identical(c_before) != c_moves
 
@@ -151,7 +153,7 @@ class TestTrainBatch:
         state.phase = CtoPhase.REFINE
         batch, labels = self._batch(rng)
         c_before = state.deputy.parameters()
-        train_batch(state, batch, labels, 0, LrSchedule())
+        train_batch(state, batch, labels, LR)
         assert state.deputy.parameters().identical(c_before)
 
     @pytest.mark.parametrize(
@@ -168,7 +170,7 @@ class TestTrainBatch:
         state.phase = phase
         batch, labels = self._batch(rng)
         seen = record_eval_forwards(monkeypatch, state)
-        train_batch(state, batch, labels, 0, LrSchedule())
+        train_batch(state, batch, labels, LR)
         assert seen == [(t, len(batch)) for t in teachers]
 
     def test_refine_frozen_deputy_loss_uses_teacher(self, rng):
@@ -176,7 +178,7 @@ class TestTrainBatch:
         state.phase = CtoPhase.REFINE
         batch, labels = self._batch(rng)
         expected = cross_entropy(state.deputy.forward(batch), labels)
-        _, loss_c = train_batch(state, batch, labels, 0, LrSchedule())
+        _, loss_c = train_batch(state, batch, labels, LR)
         assert loss_c == expected
 
     def test_retrieve_q_update_independent_of_deputy(self, rng):
@@ -187,14 +189,14 @@ class TestTrainBatch:
         state = make_state(rng)
         for e in state.deputy.parameters().entries:
             pass  # c left at init
-        train_batch(state, batch, labels, 0, LrSchedule())
+        train_batch(state, batch, labels, LR)
         q_with_c = state.personalized.parameters()
 
         solo = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(42))
         state2 = make_state(rng)
         solo.import_parameters(state2.personalized.parameters())
         backward(solo, batch, labels)
-        sgd_step(solo, 0, LrSchedule())
+        sgd_step(solo, LR)
         assert solo.parameters().identical(q_with_c)
 
     @pytest.mark.parametrize("refine_trains_deputy", [True, False], ids=["refine", "frozen"])
@@ -203,7 +205,6 @@ class TestTrainBatch:
         # independent step-by-step re-implementation of the phase rules
         batch = rng.normal(size=(5, 1, 8, 8))
         labels = rng.integers(0, 3, size=5)
-        sch = LrSchedule()
         # a FedProx anchor that differs from the weights, so mu > 0 moves them
         anchor = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(7)).parameters()
 
@@ -214,7 +215,7 @@ class TestTrainBatch:
         observed = []
         for phase in phases:
             state.phase = phase
-            observed.append(train_batch(state, batch, labels, 0, sch, mu))
+            observed.append(train_batch(state, batch, labels, LR, mu))
 
         init = np.random.default_rng(42)
         q = build_network("tiny_mlp", 1, 8, 8, 3, init)
@@ -227,25 +228,25 @@ class TestTrainBatch:
             ct = c.forward(batch)
             if phase is CtoPhase.RETRIEVE:
                 pq = backward(q, batch, labels)
-                sgd_step(q, 0, sch)
+                sgd_step(q, LR)
                 lq = cross_entropy(pq, labels)
                 pc = backward(c, batch, labels, teacher_probs=qt)
-                sgd_step(c, 0, sch, prox=prox)
+                sgd_step(c, LR, prox=prox)
                 lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
             elif phase is CtoPhase.RECIPROCATE:
                 pc = backward(c, batch, labels, teacher_probs=qt)
-                sgd_step(c, 0, sch, prox=prox)
+                sgd_step(c, LR, prox=prox)
                 lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
                 pq = backward(q, batch, labels, teacher_probs=ct)
-                sgd_step(q, 0, sch)
+                sgd_step(q, LR)
                 lq = cross_entropy(pq, labels) + kl_divergence(ct, pq)
             else:
                 pq = backward(q, batch, labels, teacher_probs=ct)
-                sgd_step(q, 0, sch)
+                sgd_step(q, LR)
                 lq = cross_entropy(pq, labels) + kl_divergence(ct, pq)
                 if refine_trains_deputy:
                     pc = backward(c, batch, labels)
-                    sgd_step(c, 0, sch, prox=prox)
+                    sgd_step(c, LR, prox=prox)
                     lc = cross_entropy(pc, labels)
                 else:  # the frozen deputy is only scored
                     lc = cross_entropy(ct, labels)

@@ -46,10 +46,10 @@ class TestGenerate:
             assert hist == expected
 
     def test_splits_disjoint_and_exhaustive(self):
-        parts = generate(small_spec())
-        for part in parts:
+        spec = small_spec()
+        for part, counts in zip(generate(spec), spec.client_class_counts):
             sizes = len(part.train) + len(part.val) + len(part.test)
-            assert sizes == part.total()
+            assert sizes == sum(counts)
             assert len(part.val) > 0 and len(part.test) > 0
 
     def test_deterministic_in_seed(self):

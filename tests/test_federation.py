@@ -184,6 +184,33 @@ class TestBatches:
         assert sorted(seen.tolist()) == list(range(33))
 
 
+class _LrRecorder:
+    """A client stub that records the learning rate each `step` receives."""
+
+    def __init__(self, part):
+        self.client_id, self.data, self.rng = 0, part, np.random.default_rng(0)
+        self.lrs = []
+
+    def step(self, images, labels, lr, mu):
+        self.lrs.append(lr)
+
+    def end_epoch(self, epoch):
+        return None
+
+
+class TestLocalEpoch:
+    def test_lr_evaluated_once_per_epoch(self):
+        client = _LrRecorder(tiny_partitions(n_clients=1)[0])
+        cfg = tiny_config(lr_initial=0.4, lr_halve_every=2)
+        per_epoch = []
+        for epoch in range(4):
+            client.lrs = []
+            client_local_epoch(client, epoch, cfg)
+            assert len(client.lrs) > 1 and len(set(client.lrs)) == 1
+            per_epoch.append(client.lrs[0])
+        assert per_epoch == [0.4, 0.4, 0.2, 0.2]
+
+
 class TestRunExperiment:
     def test_round_count_and_single_aggregation(self, tmp_path):
         parts = tiny_partitions()
@@ -620,7 +647,7 @@ def _assert_params(net, expected):
 
 
 class TestFedProx:
-    LR = LrSchedule(0.1)
+    LR = 0.1
 
     def _setup(self, seed=3):
         part = tiny_partitions(n_clients=1)[0]
@@ -639,8 +666,8 @@ class TestFedProx:
         start = net.parameters()
         grads = _grads(net, images, labels)
         client = _Client(0, net, part, np.random.default_rng(0), last_received=anchor)
-        client.step(images, labels, 0, self.LR, mu)
-        _assert_params(net, _sgd_oracle(start, grads, self.LR.at(0), mu, anchor))
+        client.step(images, labels, self.LR, mu)
+        _assert_params(net, _sgd_oracle(start, grads, self.LR, mu, anchor))
 
     @pytest.mark.parametrize("phase", list(cto.CtoPhase))
     def test_cto_step_oracle(self, phase):
@@ -655,10 +682,10 @@ class TestFedProx:
         grads_c = _grads(c, images, labels, None if refine else q_teacher)
         grads_q = _grads(q, images, labels, None if retrieve else c_teacher)
         state = cto.ClientState(0, q, c, part, phase=phase, last_received=anchor)
-        state.step(images, labels, 0, self.LR, mu)
+        state.step(images, labels, self.LR, mu)
         # the deputy is pulled toward the anchor; the personalized model never is
-        _assert_params(c, _sgd_oracle(c_start, grads_c, self.LR.at(0), mu, anchor))
-        _assert_params(q, _sgd_oracle(q_start, grads_q, self.LR.at(0)))
+        _assert_params(c, _sgd_oracle(c_start, grads_c, self.LR, mu, anchor))
+        _assert_params(q, _sgd_oracle(q_start, grads_q, self.LR))
 
     @pytest.mark.parametrize("cto_enabled", [False, True])
     def test_anchor_unchanged_by_local_epochs(self, cto_enabled):

@@ -67,9 +67,9 @@ class TestForward:
         probs = net.forward(rng.normal(size=(6, 1, 2, 2)))
         assert np.abs(probs - 1 / 3).max() < 1e-12
 
-    def test_hand_computed_dense_forward(self):
+    def test_hand_computed_dense_forward(self, rng):
         # 2-2-2 dense net, weights chosen for hand computation
-        net = Network([("fc1", Dense(2, 2)), ("relu", ReLU()), ("fc2", Dense(2, 2))])
+        net = Network([("fc1", Dense(2, 2, rng)), ("relu", ReLU()), ("fc2", Dense(2, 2, rng))])
         layers = dict(net.layers)
         layers["fc1"].params["weight"] = np.array([[1.0, 0.0], [0.0, -1.0]])
         layers["fc1"].params["bias"] = np.array([0.0, 1.0])
@@ -318,17 +318,22 @@ class TestBatchNorm:
         assert _same_bits(bn.forward(x, train=False), ref.forward(x, train=False))
         assert _same_bits(x, x_before)
 
-    @pytest.mark.parametrize("shape", [(20, 8, 30, 30), (3, 5, 7, 9), (6, 4)])
+    @pytest.mark.parametrize("shape", [(20, 8, 30, 30), (3, 5, 7, 9)])
     def test_matches_reference(self, rng, shape):
         self._check(rng, shape)
 
-    @pytest.mark.parametrize("shape", [(1, 4, 6, 6), (1, 5)])
+    @pytest.mark.parametrize("shape", [(1, 4, 6, 6)])
     def test_batch_of_one(self, rng, shape):
         self._check(rng, shape)
 
-    @pytest.mark.parametrize("shape", [(4, 3, 5, 5), (7, 6)])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 5)])
     def test_parameter_grads_without_input_gradient(self, rng, shape):
         self._check(rng, shape, need_dx=False)
+
+    def test_dense_activations_rejected(self, rng):
+        for train in (True, False):
+            with pytest.raises(ShapeError, match="batchnorm expects"):
+                BatchNorm(4).forward(rng.normal(size=(6, 4)), train=train)
 
     def test_cache_does_not_hold_the_input(self, rng):
         bn = BatchNorm(3)
@@ -387,9 +392,10 @@ class TestBackwardPass:
     def test_backward_releases_forward_caches(self, rng, arch):
         net = build_network(arch, 1, 12, 12, 3, rng)
         backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
-        assert all(layer._cache is None for _, layer in net.layers)
-        with pytest.raises(RuntimeError, match="without a training forward"):
-            net.backward_from_logits(np.zeros((4, 3)))
+        for _, layer in net.layers:
+            assert layer._cache is None
+            with pytest.raises(RuntimeError, match="without a training forward"):
+                layer.backward(np.zeros((4, 3)))
 
 
 class TestSgd:
@@ -406,7 +412,7 @@ class TestSgd:
         for _, layer in net.layers:
             for g in layer.grads.values():
                 g[...] = 0.0
-        sgd_step(net, 0, LrSchedule())
+        sgd_step(net, LrSchedule().at(0))
         assert net.parameters().identical(before)
 
     def test_prox_at_anchor_is_noop(self, rng):
@@ -418,12 +424,12 @@ class TestSgd:
         net_a = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_a.import_parameters(anchor)
         backward(net_a, x, y)
-        sgd_step(net_a, 0, LrSchedule(), prox=(1.0, anchor))
+        sgd_step(net_a, LrSchedule().at(0), prox=(1.0, anchor))
 
         net_b = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_b.import_parameters(anchor)
         backward(net_b, x, y)
-        sgd_step(net_b, 0, LrSchedule())
+        sgd_step(net_b, LrSchedule().at(0))
 
         assert net_a.parameters().identical(net_b.parameters())
 
@@ -437,9 +443,8 @@ class TestSgd:
         backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
         start, grads = net.parameters(), net.gradients()
         arrays = {(l, p): w for l, layer in net.layers for p, w in layer.params.items()}
-        sch = LrSchedule(0.1)
-        sgd_step(net, 0, sch, prox=(mu, anchor))
-        lr = sch.at(0)
+        lr = 0.1
+        sgd_step(net, lr, prox=(mu, anchor))
         for g in grads:
             w, a = start.get(g.name).tensor, anchor.get(g.name).tensor
             expected = w - lr * (g.tensor + mu * (w - a)) if mu else w - lr * g.tensor
@@ -465,7 +470,7 @@ class TestSgd:
             net = build_network("smallcnn", 1, 12, 12, 3, np.random.default_rng(7))
             for epoch in range(3):
                 backward(net, x, y)
-                sgd_step(net, epoch, LrSchedule())
+                sgd_step(net, LrSchedule().at(epoch))
             params.append(net.parameters())
         assert params[0].identical(params[1])
 
