@@ -158,6 +158,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--clients expects integers, got {args.clients!r}")
     if not client_counts or any(n < 1 for n in client_counts):
         raise ConfigError("--clients needs positive integers")
+    repeated = [n for n in client_counts if client_counts.count(n) > 1]
+    if repeated:
+        raise ConfigError(f"--clients lists {repeated[0]} twice")
 
     sweep_dir = Path(base.out_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)

@@ -27,6 +27,13 @@ next round trains it (round evaluation does not train), so that aggregate
 is also its checkpoint payload; only a model the server never replaces is
 copied for saving.
 
+`run_experiment` checks its inputs, builds the clients, then calls
+`_run_round` once per round: train `comm_interval` local epochs, take the
+uploads, wait for the previous round's checkpoint writes, aggregate,
+redistribute, evaluate. The returned `RoundReport` holds the round's metric
+records and events (guard events in epoch order, then the aggregation
+event); `events.jsonl` is their concatenation.
+
 Round r's checkpoints are written on one background thread while round
 r+1 trains. The loop waits for them before the next aggregation and
 before writing `metrics.csv`, so a write error stops the run there.
@@ -37,7 +44,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -137,6 +145,7 @@ class RoundReport:
     round: int
     epoch: int
     records: List[MetricsRecord]
+    events: List[dict]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +293,7 @@ def _init_clients(
 
 
 def _aggregate(
-    cfg: FederationConfig, uploads: List[ParameterSet], weights: List[int], s: float
+    cfg: FederationConfig, uploads: List[ParameterSet], weights: List[int], s: Optional[float]
 ) -> List[ParameterSet]:
     """Produce one new parameter set per client (identical under fedavg).
     A non-finite upload, retained FedBN entries included, raises
@@ -377,6 +386,34 @@ def _write_checkpoint(
             writer.writerows(rows)
 
 
+def _run_round(
+    cfg: FederationConfig, clients: List[Client], classes: int, round_idx: int, run,
+    pending: Sequence[Future],
+) -> RoundReport:
+    """Train, aggregate, redistribute and evaluate one communication round."""
+    epoch = round_idx * cfg.comm_interval  # the epoch count at the aggregation
+    events = []
+    for e in range(epoch - cfg.comm_interval, epoch):
+        events.extend(filter(None, run(lambda c: client_local_epoch(c, e, cfg), clients)))
+    s = schedule_threshold(cfg.cfa, epoch) if cfg.aggregator == "cfa" else None
+    uploads = [c.upload() for c in clients]
+    for write in pending:
+        write.result()  # re-raises a write's error
+    new_sets = _aggregate(cfg, uploads, [len(c.data.train) for c in clients], s)
+    for c, ps in zip(clients, new_sets):
+        c.receive(ps)
+    events.append(
+        {
+            "type": "aggregation",
+            "round": round_idx,
+            "epoch": epoch,
+            "s": None if s is None else round(s, 12),
+        }
+    )
+    records = [r for c in clients for r in _evaluate_round(c, round_idx, epoch, classes)]
+    return RoundReport(round_idx, epoch, records, events)
+
+
 def run_experiment(
     cfg: FederationConfig,
     partitions: Sequence[ClientPartition],
@@ -395,6 +432,8 @@ def run_experiment(
             int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
         )
     for p in partitions:
+        if cfg.cto_enabled and len(p.val) == 0:
+            raise ConfigError(f"CTO needs val data; client {p.client_id} has none")
         for split in SPLITS:
             labels = p.split(split).labels
             bad = labels[(labels < 0) | (labels >= classes)]
@@ -409,47 +448,17 @@ def run_experiment(
             raise ConfigError("augmentation requires square images")
 
     clients = _init_clients(cfg, partitions, classes)
-    weights = [len(p.train) for p in partitions]
     workers = _max_workers(cfg.num_clients)
-    events: List[dict] = []
     reports: List[RoundReport] = []
-
-    # One worker trains on the main thread: on a pool thread its temporaries take a
-    # second malloc arena (many_clients peak RSS 141-144 MB -> 152-172 MB).
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    saver = None
-    if out_dir is not None and cfg.save_checkpoints:
-        saver = ThreadPoolExecutor(max_workers=1, thread_name_prefix=WRITER_THREAD_PREFIX)
-    pending = []  # the previous round's checkpoint writes
-    try:
-        for epoch in range(cfg.total_epochs):
-            run = pool.map if pool is not None else map
-            epoch_events = list(run(lambda c: client_local_epoch(c, epoch, cfg), clients))
-            events.extend(ev for ev in epoch_events if ev is not None)
-
-            if (epoch + 1) % cfg.comm_interval != 0:
-                continue
-            round_idx = (epoch + 1) // cfg.comm_interval
-            s = schedule_threshold(cfg.cfa, epoch + 1) if cfg.aggregator == "cfa" else None
-            uploads = [c.upload() for c in clients]
-            for write in pending:
-                write.result()  # re-raises a write's error
-            new_sets = _aggregate(cfg, uploads, weights, s if s is not None else 0.0)
-            for c, ps in zip(clients, new_sets):
-                c.receive(ps)
-            events.append(
-                {
-                    "type": "aggregation",
-                    "round": round_idx,
-                    "epoch": epoch + 1,
-                    "s": None if s is None else round(s, 12),
-                }
-            )
-            records = []
-            for c in clients:
-                records.extend(_evaluate_round(c, round_idx, epoch + 1, classes))
-            reports.append(RoundReport(round_idx, epoch + 1, records))
-            if saver is not None:
+    with ExitStack() as stack:
+        # One worker trains on the main thread: on a pool thread its temporaries take a
+        # second malloc arena (many_clients peak RSS 141-144 MB -> 152-172 MB).
+        run = stack.enter_context(ThreadPoolExecutor(workers)).map if workers > 1 else map
+        saver = stack.enter_context(ThreadPoolExecutor(1, WRITER_THREAD_PREFIX))
+        pending = []  # the previous round's checkpoint writes
+        for round_idx in range(1, cfg.total_epochs // cfg.comm_interval + 1):
+            reports.append(_run_round(cfg, clients, classes, round_idx, run, pending))
+            if out_dir is not None and cfg.save_checkpoints:
                 pending = [
                     saver.submit(
                         _write_checkpoint, Path(out_dir), round_idx, c.client_id,
@@ -459,11 +468,6 @@ def run_experiment(
                 ]
         for write in pending:
             write.result()
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if saver is not None:
-            saver.shutdown()
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -475,6 +479,7 @@ def run_experiment(
                 for rec in report.records:
                     writer.writerow(rec.row())
         with open(out_dir / "events.jsonl", "w", newline="\n") as f:
-            for ev in events:
-                f.write(json.dumps(ev, separators=(",", ":")) + "\n")
+            for report in reports:
+                for ev in report.events:
+                    f.write(json.dumps(ev, separators=(",", ":")) + "\n")
     return reports

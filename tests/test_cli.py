@@ -330,19 +330,21 @@ class TestSweepCommand:
         mean_f1 = sum(float(r["macro_f1"]) for r in sel) / len(sel)
         assert float(sweep_row["macro_f1"]) == pytest.approx(mean_f1, abs=1e-12)
 
-    def test_bad_clients_list_exits_2(self, tiny_cfg, tmp_path, capsys):
+    @pytest.mark.parametrize("clients", ["2,zebra", "2,2"])
+    def test_bad_clients_list_exits_2(self, tiny_cfg, tmp_path, capsys, clients):
         rc = main(
             [
                 "sweep",
                 "--config",
                 str(tiny_cfg),
                 "--clients",
-                "2,zebra",
+                clients,
                 "--out",
                 str(tmp_path / "s"),
             ]
         )
         assert rc == 2
+        assert not (tmp_path / "s" / "n2").exists()
 
 
 class TestReportCommand:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedspectra import cto, federation, fmmt
-from fedspectra.datasynth import SynthSpec, generate
+from fedspectra.datasynth import SplitData, SynthSpec, generate
 from fedspectra.errors import ConfigError, DomainError, NonFiniteError
 from fedspectra.federation import (
     FederationConfig,
@@ -224,6 +224,7 @@ class TestRunExperiment:
         aggs = [e for e in events if e["type"] == "aggregation"]
         assert len(aggs) == 1
         assert aggs[0]["round"] == 1 and aggs[0]["epoch"] == 4
+        assert [ev for r in reports for ev in r.events] == events
 
     def test_aggregation_count_matches_schedule(self, tmp_path):
         parts = tiny_partitions()
@@ -325,11 +326,12 @@ class TestRunExperiment:
     def test_cto_guard_events_written(self, tmp_path):
         parts = tiny_partitions()
         cfg = tiny_config(cto_enabled=True, comm_interval=2, total_epochs=2)
-        run_experiment(cfg, parts, out_dir=tmp_path)
+        reports = run_experiment(cfg, parts, out_dir=tmp_path)
         events = [
             json.loads(line)
             for line in (tmp_path / "events.jsonl").read_text().splitlines()
         ]
+        assert [ev for r in reports for ev in r.events] == events
         guards = [e for e in events if e["type"] == "guard"]
         # one guard evaluation per client per epoch
         assert len(guards) == 2 * 2
@@ -345,6 +347,27 @@ class TestRunExperiment:
             }
             assert g["phase_from"] in ("retrieve", "reciprocate", "refine")
             assert g["phase_to"] in ("retrieve", "reciprocate", "refine")
+
+    def test_cto_needs_val_data_before_training(self, tmp_path, monkeypatch):
+        calls = []
+        local_epoch = federation.client_local_epoch
+
+        def counting(*args):
+            calls.append(1)
+            return local_epoch(*args)
+
+        monkeypatch.setattr(federation, "client_local_epoch", counting)
+        parts = tiny_partitions()
+        val = parts[1].val
+        parts[1].val = SplitData(val.images[:0], val.labels[:0])
+        with pytest.raises(ConfigError, match="client 1 "):
+            run_experiment(tiny_config(cto_enabled=True), parts, out_dir=tmp_path / "cto")
+        assert calls == []
+        assert not (tmp_path / "cto").exists()
+        reports = run_experiment(tiny_config(cto_enabled=False), parts, out_dir=tmp_path / "base")
+        assert len(calls) == 2 * 4  # clients x epochs
+        splits = {(rec.client_id, rec.split) for r in reports for rec in r.records}
+        assert splits == {(0, "val"), (0, "test"), (1, "test")}
 
     def test_metrics_csv_schema(self, tmp_path):
         parts = tiny_partitions()
@@ -597,7 +620,10 @@ class TestCheckpointWriter:
         assert not (tmp_path / "metrics.csv").exists()
         assert not _writer_threads()
 
-    def test_non_finite_mid_run_leaves_no_writer(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_mid_run_leaves_no_writer(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("FEDSPECTRA_THREADS", threads)
+        before = set(threading.enumerate())
         calls = []
         aggregate = federation._aggregate
 
@@ -611,6 +637,7 @@ class TestCheckpointWriter:
         with pytest.raises(NonFiniteError):
             run_experiment(tiny_config(save_checkpoints=True), tiny_partitions(), out_dir=tmp_path)
         assert not _writer_threads()
+        assert set(threading.enumerate()) <= before  # the client pool shut down too
         # round 1's write finished before the writer shut down
         assert (tmp_path / "checkpoints" / "round_001" / "client_1" / "model" / "manifest.csv").exists()
         assert not (tmp_path / "metrics.csv").exists()
