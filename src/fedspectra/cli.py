@@ -89,7 +89,6 @@ def _partitions_for(cfg: RunConfig):
 
 def _execute_run(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_experiment(
         cfg.federation_config(), _partitions_for(cfg), out_dir=out_dir, classes=cfg.classes
     )
@@ -162,8 +161,7 @@ def cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError(f"--clients lists {repeated[0]} twice")
 
-    sweep_dir = Path(base.out_dir)
-    sweep_dir.mkdir(parents=True, exist_ok=True)
+    sweep_dir = Path(base.out_dir)  # created by the first run, as n<K>/'s parent
     rows = []
     for n in client_counts:
         cfg = dataclasses.replace(base, num_clients=n, out_dir=str(sweep_dir / f"n{n}"))

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .datasynth import ClientPartition
 from .errors import DomainError
-from .nn import Network, backward, cross_entropy, kl_divergence, sgd_step
+from .nn import Network, backward, sgd_step
 from .tensors import ParameterSet
 
 
@@ -114,33 +114,26 @@ def train_batch(
     labels,
     lr: float,
     fedprox_mu: float = 0.0,
-) -> Tuple[float, float]:
-    """One phase-dependent update on both models; returns (loss_q, loss_c).
+) -> None:
+    """One phase-dependent update on both models: per lesson, `backward`
+    then `sgd_step`.
 
     Teacher distributions are taken before either model updates, only for
     the teachers the phase's lessons name, and are constants during
     differentiation. The optional proximal term anchors the deputy to the
     last received server parameters. With `refine_trains_deputy` off,
-    refine's deputy lesson is dropped and the deputy's teacher output is
-    scored instead.
+    refine's deputy lesson is dropped.
     """
     models = state.models()
     lessons = _LESSONS[state.phase]
     teachers = {t: models[t].forward(batch, train=False) for _, t in lessons if t}
     if state.phase is CtoPhase.REFINE and not state.refine_trains_deputy:
         lessons = [(s, t) for s, t in lessons if s != "deputy"]
-    losses = {}
     for student, teacher in lessons:
-        net, taught = models[student], teachers.get(teacher)
-        probs = backward(net, batch, labels, teacher_probs=taught)
+        net = models[student]
+        backward(net, batch, labels, teacher_probs=teachers.get(teacher))
         prox = (fedprox_mu, state.last_received) if student == "deputy" else None
         sgd_step(net, lr, prox=prox)
-        losses[student] = cross_entropy(probs, labels)
-        if taught is not None:
-            losses[student] += kl_divergence(taught, probs)
-    if "deputy" not in losses:
-        losses["deputy"] = cross_entropy(teachers["deputy"], labels)
-    return losses["personalized"], losses["deputy"]
 
 
 def maybe_advance(state: ClientState, phi_c: float, phi_q: float) -> CtoPhase:

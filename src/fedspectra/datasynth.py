@@ -131,16 +131,13 @@ def _class_image(
 
 def _stratified_split(
     labels: np.ndarray, rng: np.random.Generator
-) -> Dict[str, np.ndarray]:
+) -> Tuple[Dict[str, np.ndarray], bool]:
     """70/15/15 split, stratified by class where every nonzero class count
-    allows it; otherwise unstratified with a logged warning."""
+    allows it; otherwise unstratified. Returns the split and whether it is
+    stratified."""
     present = np.unique(labels)
     counts = [(labels == k).sum() for k in present]
     stratify = all(c >= 3 for c in counts)
-    if not stratify:
-        logger.warning(
-            "class with fewer than 3 samples; falling back to unstratified split"
-        )
     groups = [np.flatnonzero(labels == k) for k in present] if stratify else [
         np.arange(len(labels))
     ]
@@ -154,8 +151,7 @@ def _stratified_split(
         picks["val"].append(idx[:n_val])
         picks["test"].append(idx[n_val : n_val + n_test])
         picks["train"].append(idx[n_val + n_test :])
-    out = {s: np.sort(np.concatenate(p)) for s, p in picks.items()}
-    return out
+    return {s: np.sort(np.concatenate(p)) for s, p in picks.items()}, stratify
 
 
 def generate(spec: SynthSpec) -> List[ClientPartition]:
@@ -174,7 +170,7 @@ def generate(spec: SynthSpec) -> List[ClientPartition]:
     if len(spec.brightness) != n_clients or len(spec.contrast) != n_clients:
         raise ConfigError("style parameter lists must have one entry per client")
 
-    partitions = []
+    partitions, unstratified = [], []
     for cid in range(n_clients):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7 + cid]))
         images, labels = [], []
@@ -196,13 +192,21 @@ def generate(spec: SynthSpec) -> List[ClientPartition]:
                 labels.append(label)
         images = np.stack(images)
         labels = np.asarray(labels, dtype=np.int64)
-        split_idx = _stratified_split(labels, rng)
+        split_idx, stratified = _stratified_split(labels, rng)
+        if not stratified:
+            unstratified.append(cid)
         parts = {
             s: SplitData(images[ix].copy(), labels[ix].copy())
             for s, ix in split_idx.items()
         }
         partitions.append(
             ClientPartition(cid, parts["train"], parts["val"], parts["test"])
+        )
+    if unstratified:
+        logger.warning(
+            "%d of %d clients have a class with fewer than 3 samples; "
+            "their splits are unstratified (first: client %d)",
+            len(unstratified), n_clients, unstratified[0],
         )
     return partitions
 

@@ -19,13 +19,14 @@ Every client, the baseline `_Client` here and the deputy machine
   models()                      {name: Network} evaluated each round
   checkpoint_sets()             {name: ParameterSet} saved each round
 
-Copy rule: parameter arrays are copied only into and out of a Network
-(`import_parameters`, `parameters()`). Uploads, aggregates and FedProx
-anchors share arrays and are only read; clients may share one anchor.
-A model the server overwrites equals its received aggregate until the
-next round trains it (round evaluation does not train), so that aggregate
-is also its checkpoint payload; only a model the server never replaces is
-copied for saving.
+Copy rule: every client model starts as a deep copy of one network built
+from the seed. After that, parameter arrays are copied only into and out
+of a Network (`import_parameters`, `parameters()`). Uploads, aggregates
+and FedProx anchors share arrays and are only read; clients may share one
+anchor. A model the server overwrites equals its received aggregate until
+the next round trains it (round evaluation does not train), so that
+aggregate is also its checkpoint payload; only a model the server never
+replaces is copied for saving.
 
 `run_experiment` checks its inputs, builds the clients, then calls
 `_run_round` once per round: train `comm_interval` local epochs, take the
@@ -41,6 +42,7 @@ before writing `metrics.csv`, so a write error stops the run there.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -238,11 +240,8 @@ def client_local_epoch(
 ) -> Optional[dict]:
     """Train one local epoch; returns the client's end-of-epoch event."""
     train = client.data.train
-    n = len(train)
-    if n == 0:
-        raise DomainError(f"client {client.client_id} has no training data")
     lr = cfg.lr.at(epoch)
-    for idx in _batches(n, cfg.batch_size, client.rng):
+    for idx in _batches(len(train), cfg.batch_size, client.rng):
         images = train.images[idx]
         labels = train.labels[idx]
         if cfg.augment:
@@ -261,16 +260,7 @@ def _init_clients(
     sample = partitions[0].train.images
     channels, height, width = sample.shape[1:]
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    base_params = build_network(
-        cfg.arch, channels, height, width, classes, init_rng
-    ).parameters()
-
-    def network() -> Network:
-        """A fresh network (consuming init_rng) set to the shared start."""
-        net = build_network(cfg.arch, channels, height, width, classes, init_rng)
-        net.import_parameters(base_params)
-        return net
-
+    start = build_network(cfg.arch, channels, height, width, classes, init_rng)
     clients: List[Client] = []
     for part in partitions:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, part.client_id]))
@@ -278,8 +268,8 @@ def _init_clients(
             clients.append(
                 cto.ClientState(
                     client_id=part.client_id,
-                    personalized=network(),
-                    deputy=network(),
+                    personalized=copy.deepcopy(start),
+                    deputy=copy.deepcopy(start),
                     data=part,
                     rng=rng,
                     lambda1=cfg.lambda1,
@@ -288,7 +278,7 @@ def _init_clients(
                 )
             )
         else:
-            clients.append(_Client(part.client_id, network(), part, rng))
+            clients.append(_Client(part.client_id, copy.deepcopy(start), part, rng))
     return clients
 
 
@@ -432,6 +422,8 @@ def run_experiment(
             int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
         )
     for p in partitions:
+        if len(p.train) == 0:
+            raise ConfigError(f"client {p.client_id} has no training data")
         if cfg.cto_enabled and len(p.val) == 0:
             raise ConfigError(f"CTO needs val data; client {p.client_id} has none")
         for split in SPLITS:
@@ -446,6 +438,9 @@ def run_experiment(
         sample = partitions[0].train.images
         if sample.shape[-1] != sample.shape[-2]:
             raise ConfigError("augmentation requires square images")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     clients = _init_clients(cfg, partitions, classes)
     workers = _max_workers(cfg.num_clients)
@@ -461,7 +456,7 @@ def run_experiment(
             if out_dir is not None and cfg.save_checkpoints:
                 pending = [
                     saver.submit(
-                        _write_checkpoint, Path(out_dir), round_idx, c.client_id,
+                        _write_checkpoint, out_dir, round_idx, c.client_id,
                         c.checkpoint_sets(),
                     )
                     for c in clients
@@ -470,8 +465,6 @@ def run_experiment(
             write.result()
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metrics.csv", "w", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(METRICS_HEADER)

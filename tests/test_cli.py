@@ -471,7 +471,16 @@ class TestGenDataCommand:
         err = capsys.readouterr().err
         assert "config error: client 0 train split holds label 2" in err
         assert "[0, 2)" in err
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_rejected_sweep_leaves_no_directory(self, tiny_cfg, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+        argv = ["sweep", "--config", str(tiny_cfg), "--set", f"dataset_dir={data_dir}"]
+        rc = main(argv + ["--clients", "2", "--set", "classes=2", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "config error: client 0 train split holds label 2" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_missing_image_exits_1_with_path(self, tiny_cfg, tmp_path, capsys):
         data_dir = tmp_path / "data"

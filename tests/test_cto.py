@@ -5,7 +5,7 @@ from fedspectra import cto
 from fedspectra.cto import ClientState, CtoPhase, evaluate, maybe_advance, on_receive, train_batch
 from fedspectra.datasynth import ClientPartition, SplitData
 from fedspectra.errors import DomainError
-from fedspectra.nn import LrSchedule, Network, backward, build_network, cross_entropy, kl_divergence, sgd_step
+from fedspectra.nn import LrSchedule, Network, backward, build_network, sgd_step
 
 LR = LrSchedule().at(0)  # the default schedule's first-epoch rate
 
@@ -124,11 +124,15 @@ class TestTrainBatch:
         return rng.normal(size=(6, 1, 8, 8)), rng.integers(0, 3, size=6)
 
     def test_retrieve_kl_term_zero_when_models_equal(self, rng):
+        # with q == c, the KL term's logit gradient (p - teacher) / n is zero
         state = make_state(rng)  # q and c identical at init
         batch, labels = self._batch(rng)
-        probs = state.deputy.forward(batch)
-        _, loss_c = train_batch(state, batch, labels, LR)
-        assert loss_c == pytest.approx(cross_entropy(probs, labels), abs=1e-9)
+        plain = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(0))
+        plain.import_parameters(state.deputy.parameters())
+        train_batch(state, batch, labels, LR)
+        backward(plain, batch, labels)
+        sgd_step(plain, LR)
+        assert state.deputy.parameters().identical(plain.parameters())
 
     @pytest.mark.parametrize(
         "phase,q_moves,c_moves",
@@ -173,14 +177,6 @@ class TestTrainBatch:
         train_batch(state, batch, labels, LR)
         assert seen == [(t, len(batch)) for t in teachers]
 
-    def test_refine_frozen_deputy_loss_uses_teacher(self, rng):
-        state = make_state(rng, refine_trains_deputy=False)
-        state.phase = CtoPhase.REFINE
-        batch, labels = self._batch(rng)
-        expected = cross_entropy(state.deputy.forward(batch), labels)
-        _, loss_c = train_batch(state, batch, labels, LR)
-        assert loss_c == expected
-
     def test_retrieve_q_update_independent_of_deputy(self, rng):
         # in retrieve, q trains with plain CE: its update must not depend on c
         batch = rng.normal(size=(6, 1, 8, 8))
@@ -212,49 +208,36 @@ class TestTrainBatch:
         state.last_received = anchor
         assert not anchor.allclose(state.deputy.parameters(), atol=1e-3)
         phases = [CtoPhase.RETRIEVE, CtoPhase.RECIPROCATE, CtoPhase.REFINE]
-        observed = []
-        for phase in phases:
-            state.phase = phase
-            observed.append(train_batch(state, batch, labels, LR, mu))
 
         init = np.random.default_rng(42)
         q = build_network("tiny_mlp", 1, 8, 8, 3, init)
         c = build_network("tiny_mlp", 1, 8, 8, 3, init)
         c.import_parameters(q.parameters())
         prox = (mu, anchor)  # the deputy's only
-        expected = []
         for phase in phases:
+            state.phase = phase
+            assert train_batch(state, batch, labels, LR, mu) is None
+
             qt = q.forward(batch)
             ct = c.forward(batch)
             if phase is CtoPhase.RETRIEVE:
-                pq = backward(q, batch, labels)
+                backward(q, batch, labels)
                 sgd_step(q, LR)
-                lq = cross_entropy(pq, labels)
-                pc = backward(c, batch, labels, teacher_probs=qt)
+                backward(c, batch, labels, teacher_probs=qt)
                 sgd_step(c, LR, prox=prox)
-                lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
             elif phase is CtoPhase.RECIPROCATE:
-                pc = backward(c, batch, labels, teacher_probs=qt)
+                backward(c, batch, labels, teacher_probs=qt)
                 sgd_step(c, LR, prox=prox)
-                lc = cross_entropy(pc, labels) + kl_divergence(qt, pc)
-                pq = backward(q, batch, labels, teacher_probs=ct)
+                backward(q, batch, labels, teacher_probs=ct)
                 sgd_step(q, LR)
-                lq = cross_entropy(pq, labels) + kl_divergence(ct, pq)
             else:
-                pq = backward(q, batch, labels, teacher_probs=ct)
+                backward(q, batch, labels, teacher_probs=ct)
                 sgd_step(q, LR)
-                lq = cross_entropy(pq, labels) + kl_divergence(ct, pq)
-                if refine_trains_deputy:
-                    pc = backward(c, batch, labels)
+                if refine_trains_deputy:  # else the deputy stays frozen
+                    backward(c, batch, labels)
                     sgd_step(c, LR, prox=prox)
-                    lc = cross_entropy(pc, labels)
-                else:  # the frozen deputy is only scored
-                    lc = cross_entropy(ct, labels)
-            expected.append((lq, lc))
-
-        assert observed == expected
-        assert state.personalized.parameters().identical(q.parameters())
-        assert state.deputy.parameters().identical(c.parameters())
+            assert state.personalized.parameters().identical(q.parameters()), phase
+            assert state.deputy.parameters().identical(c.parameters()), phase
 
 
 class TestEvaluate:

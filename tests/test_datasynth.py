@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ class TestGenerate:
         c4 = default_class_counts(4, 0.1)
         c8 = default_class_counts(8, 0.1)
         assert sum(sum(r) for r in c8) <= sum(sum(r) for r in c4) + 50
+
+    @pytest.mark.parametrize("n,fell_back,first", [(256, 192, 0), (4, 1, 1)])
+    def test_one_split_warning_per_call(self, caplog, n, fell_back, first):
+        # the desk counts at n clients; image size moves no split
+        brightness, contrast = default_style(n)
+        counts = default_class_counts(n, 0.1)
+        spec = small_spec(client_class_counts=counts, brightness=brightness, contrast=contrast)
+        caplog.set_level(logging.WARNING, logger="fedspectra.datasynth")
+        generate(spec)
+        assert [r.getMessage() for r in caplog.records if r.name == "fedspectra.datasynth"] == [
+            f"{fell_back} of {n} clients have a class with fewer than 3 samples; "
+            f"their splits are unstratified (first: client {first})"
+        ]
 
     def test_default_style_centered(self):
         b, c = default_style(1)

@@ -19,7 +19,7 @@ from fedspectra.federation import (
     run_experiment,
     _batches,
 )
-from fedspectra.nn import LrSchedule, backward, build_network
+from fedspectra.nn import LrSchedule, backward, build_network, sgd_step
 from fedspectra.spectral import CfaSchedule, schedule_threshold
 from fedspectra.tensors import ParamEntry, ParameterSet
 
@@ -52,6 +52,19 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return FederationConfig(**defaults)
+
+
+def count_local_epochs(monkeypatch):
+    """A list that gains one item per `client_local_epoch` call."""
+    calls = []
+    local_epoch = federation.client_local_epoch
+
+    def counting(*args):
+        calls.append(1)
+        return local_epoch(*args)
+
+    monkeypatch.setattr(federation, "client_local_epoch", counting)
+    return calls
 
 
 def _sets(*arrays_per_client):
@@ -349,14 +362,7 @@ class TestRunExperiment:
             assert g["phase_to"] in ("retrieve", "reciprocate", "refine")
 
     def test_cto_needs_val_data_before_training(self, tmp_path, monkeypatch):
-        calls = []
-        local_epoch = federation.client_local_epoch
-
-        def counting(*args):
-            calls.append(1)
-            return local_epoch(*args)
-
-        monkeypatch.setattr(federation, "client_local_epoch", counting)
+        calls = count_local_epochs(monkeypatch)
         parts = tiny_partitions()
         val = parts[1].val
         parts[1].val = SplitData(val.images[:0], val.labels[:0])
@@ -368,6 +374,44 @@ class TestRunExperiment:
         assert len(calls) == 2 * 4  # clients x epochs
         splits = {(rec.client_id, rec.split) for r in reports for rec in r.records}
         assert splits == {(0, "val"), (0, "test"), (1, "test")}
+
+    @pytest.mark.parametrize("cto_enabled", [True, False], ids=["cto", "base"])
+    def test_empty_train_split_rejected_before_training(self, tmp_path, monkeypatch, cto_enabled):
+        calls = count_local_epochs(monkeypatch)
+        parts = tiny_partitions()
+        train = parts[1].train
+        parts[1].train = SplitData(train.images[:0], train.labels[:0])
+        with pytest.raises(ConfigError, match="client 1 has no training data"):
+            run_experiment(tiny_config(cto_enabled=cto_enabled), parts, out_dir=tmp_path / "r")
+        assert calls == []
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("cto_enabled", [True, False], ids=["cto", "base"])
+    def test_clients_start_from_one_unshared_network(self, monkeypatch, cto_enabled):
+        cfg = tiny_config(cto_enabled=cto_enabled, num_clients=3)
+        parts = tiny_partitions(n_clients=3)
+        init = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+        oracle = build_network(cfg.arch, 1, 8, 8, 3, init).parameters()
+        built = []
+        init_clients = federation._init_clients
+
+        def keep(*args):
+            built.extend(init_clients(*args))
+            return built
+
+        monkeypatch.setattr(federation, "_init_clients", keep)
+        monkeypatch.setattr(federation, "_run_round", lambda *args: None)
+        run_experiment(cfg, parts, classes=3)
+        models = [net for c in built for net in c.models().values()]
+        assert len(models) == 3 * (2 if cto_enabled else 1)
+        for net in models:
+            assert net.parameters().identical(oracle)
+        batch = parts[0].train
+        backward(models[0], batch.images, batch.labels)
+        sgd_step(models[0], 0.1)
+        assert not models[0].parameters().identical(oracle)
+        for net in models[1:]:
+            assert net.parameters().identical(oracle)
 
     def test_metrics_csv_schema(self, tmp_path):
         parts = tiny_partitions()
