@@ -7,6 +7,12 @@ receives the server aggregate. `_LESSONS` is the phase law, who teaches whom:
   reciprocate mutual distillation between q and c
   refine      c teaches q (global knowledge lands in the personalized model)
 
+A teacher's output is its prediction before either model updates. A
+teacher trained by an earlier lesson of the batch lends that training
+forward, equal bit for bit to an eval forward; any other teacher, and any
+network with BatchNorm (whose training forward uses batch statistics), runs
+an eval forward: q's in reciprocate, and c's in refine with it frozen.
+
 Advancement is gated on validation performance: retrieve -> reciprocate
 when phi(c) >= lambda1 * phi(q), reciprocate -> refine when
 phi(c) >= lambda2 * phi(q). Receiving fresh server parameters resets the
@@ -25,7 +31,7 @@ import numpy as np
 from . import metrics
 from .datasynth import ClientPartition
 from .errors import DomainError
-from .nn import Network, backward, sgd_step
+from .nn import BatchNorm, Network, backward, sgd_step
 from .tensors import ParameterSet
 
 
@@ -100,11 +106,12 @@ def on_receive(state: ClientState, aggregated: ParameterSet) -> None:
 
 
 # Each phase's lessons, (student, teacher or None) in training order; a
-# teacher adds KL(teacher || student) to the student's cross-entropy.
+# teacher adds KL(teacher || student) to the student's cross-entropy. A
+# teacher trains first where it can, to lend its forward (module docstring).
 _LESSONS = {
     CtoPhase.RETRIEVE: (("personalized", None), ("deputy", "personalized")),
     CtoPhase.RECIPROCATE: (("deputy", "personalized"), ("personalized", "deputy")),
-    CtoPhase.REFINE: (("personalized", "deputy"), ("deputy", None)),
+    CtoPhase.REFINE: (("deputy", None), ("personalized", "deputy")),
 }
 
 
@@ -118,22 +125,31 @@ def train_batch(
     """One phase-dependent update on both models: per lesson, `backward`
     then `sgd_step`.
 
-    Teacher distributions are taken before either model updates, only for
-    the teachers the phase's lessons name, and are constants during
-    differentiation. The optional proximal term anchors the deputy to the
-    last received server parameters. With `refine_trains_deputy` off,
-    refine's deputy lesson is dropped.
+    Teacher distributions follow the module docstring's teacher rule and
+    are constants during differentiation. The optional proximal term
+    anchors the deputy to the last received server parameters. With
+    `refine_trains_deputy` off, refine's deputy lesson is dropped.
     """
     models = state.models()
     lessons = _LESSONS[state.phase]
-    teachers = {t: models[t].forward(batch, train=False) for _, t in lessons if t}
     if state.phase is CtoPhase.REFINE and not state.refine_trains_deputy:
         lessons = [(s, t) for s, t in lessons if s != "deputy"]
+    students = [s for s, _ in lessons]
+    probs = {
+        t: models[t].forward(batch, train=False)
+        for i, (_, t) in enumerate(lessons)
+        if t and (t not in students[:i] or _has_batchnorm(models[t]))
+    }
     for student, teacher in lessons:
         net = models[student]
-        backward(net, batch, labels, teacher_probs=teachers.get(teacher))
+        out = backward(net, batch, labels, teacher_probs=probs.get(teacher))
+        probs.setdefault(student, out)  # lent unless an eval forward was taken
         prox = (fedprox_mu, state.last_received) if student == "deputy" else None
         sgd_step(net, lr, prox=prox)
+
+
+def _has_batchnorm(net: Network) -> bool:
+    return any(isinstance(layer, BatchNorm) for _, layer in net.layers)
 
 
 def maybe_advance(state: ClientState, phi_c: float, phi_q: float) -> CtoPhase:

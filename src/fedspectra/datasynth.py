@@ -107,7 +107,7 @@ def _class_image(
     rng: np.random.Generator,
     jitter: bool,
 ) -> np.ndarray:
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    yy, xx = np.arange(h)[:, None], np.arange(w)[None, :]  # broadcast to [h, w]
     freq = label + 1
     if jitter:
         p1, p2, ang = rng.uniform(0.0, 2 * np.pi, size=3)
@@ -288,8 +288,8 @@ def load_dataset(root) -> List[ClientPartition]:
         manifest = cdir / "labels.csv"
         if not manifest.exists():
             raise IngestionError(f"{cdir}: missing labels.csv manifest")
-        buckets: Dict[str, Tuple[List[np.ndarray], List[int]]] = {
-            s: ([], []) for s in SPLITS
+        buckets: Dict[str, Tuple[List[np.ndarray], List[int], List[Path]]] = {
+            s: ([], [], []) for s in SPLITS
         }
         with open(manifest, newline="") as f:
             reader = csv.DictReader(f)
@@ -312,21 +312,24 @@ def load_dataset(root) -> List[ClientPartition]:
                     ) from None
                 if label < 0:
                     raise IngestionError(f"{manifest}: unknown label {label}")
-                img = fmmt.read_tensor(cdir / "images" / row["filename"])
+                path = cdir / "images" / row["filename"]
+                img = fmmt.read_tensor(path)
                 if shape is None:
                     shape = img.shape
                 elif img.shape != shape:
-                    raise IngestionError(
-                        f"{cdir / 'images' / row['filename']}: shape {img.shape} "
-                        f"differs from {shape}"
-                    )
+                    raise IngestionError(f"{path}: shape {img.shape} differs from {shape}")
                 buckets[split][0].append(img)
                 buckets[split][1].append(label)
+                buckets[split][2].append(path)
         parts = {}
         for s in SPLITS:
-            imgs, labs = buckets[s]
+            imgs, labs, paths = buckets[s]
             if imgs:
-                parts[s] = SplitData(np.stack(imgs), np.asarray(labs, dtype=np.int64))
+                stacked = np.stack(imgs)
+                if not np.isfinite(stacked).all():  # one pass; find the file only on failure
+                    bad = next(p for p, im in zip(paths, imgs) if not np.isfinite(im).all())
+                    raise IngestionError(f"{bad}: non-finite pixel value")
+                parts[s] = SplitData(stacked, np.asarray(labs, dtype=np.int64))
             else:
                 parts[s] = SplitData(
                     np.zeros((0,) + (shape or (1, 1, 1))), np.zeros(0, dtype=np.int64)

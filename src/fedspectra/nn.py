@@ -13,8 +13,12 @@ its anchor.
 Kernel rules:
 - 2x2 max pooling routes each window's gradient to one slot: the first
   slot holding the maximum in window order (0,0), (0,1), (1,0), (1,1), the
-  slot `argmax` would pick for finite inputs. Ties are common, since every
-  all-zero window after a ReLU is one.
+  slot `argmax` would pick for finite inputs, marked by one bool mask per
+  slot. The backward writes `dy * mask` and adds +0.0, so slots off the
+  chosen one hold +0.0 (`dy * False` is -0.0 for negative `dy`).
+- smallcnn applies ReLU after pooling: relu(max(a, b)) = max(relu(a),
+  relu(b)), and a window's gradient reaches the same slot or none in either
+  order, so every bit is kept while ReLU sees a quarter of the elements.
 - Nothing reads the gradient of the network input, so the first layer
   computes only its parameter gradients (`backward(dy, need_dx=False)`).
 - A layer's training forward caches what its backward needs, and that
@@ -171,8 +175,8 @@ def _window_slots(a: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
 
 class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; trailing odd row/column is dropped.
-    Training caches only the int8 slot of each window's maximum (tie rule in
-    the module docstring)."""
+    Training caches only the input shape and the four slot masks (tie rule
+    in the module docstring)."""
 
     def forward(self, x, train):
         n, c, h, w = x.shape
@@ -182,23 +186,26 @@ class MaxPool2x2(Layer):
         s = _window_slots(x, oh, ow)
         y = np.maximum(np.maximum(s[0], s[1]), np.maximum(s[2], s[3]))
         if train:
-            # first slot equal to the max, with ne_i = (slot i != max):
-            # k = ne0 * (1 + ne1 * (1 + ne2))
-            k = (s[2] != y).astype(np.int8)
-            for i in (1, 0):
-                k += 1
-                k *= s[i] != y
-            self._cache = (x.shape, k)
+            free = s[0] != y  # no earlier slot holds the maximum
+            masks = [~free]
+            for slot in s[1:3]:
+                m = slot == y
+                m &= free
+                free ^= m
+                masks.append(m)
+            masks.append(free)
+            self._cache = (x.shape, masks)
         return y
 
     def backward(self, dy, need_dx=True):
-        x_shape, k = self._release()
+        x_shape, masks = self._release()
         oh, ow = dy.shape[2], dy.shape[3]
         dx = np.empty(x_shape)
         dx[:, :, 2 * oh :] = 0.0  # the trailing row and column pooling dropped
         dx[:, :, :, 2 * ow :] = 0.0
-        for i, slot in enumerate(_window_slots(dx, oh, ow)):
-            slot[...] = np.where(k == i, dy, 0.0)
+        for slot, m in zip(_window_slots(dx, oh, ow), masks):
+            np.multiply(dy, m, out=slot)
+        dx += 0.0  # -0.0 -> +0.0 off the chosen slots
         return dx
 
 
@@ -451,13 +458,13 @@ def build_network(
         layers.append(("conv1", Conv2d(8, in_channels, 3, 3, rng)))
         if with_bn:
             layers.append(("bn1", BatchNorm(8)))
-        layers.append(("relu1", ReLU()))
         layers.append(("pool1", MaxPool2x2()))
+        layers.append(("relu1", ReLU()))
         layers.append(("conv2", Conv2d(16, 8, 3, 3, rng)))
         if with_bn:
             layers.append(("bn2", BatchNorm(16)))
-        layers.append(("relu2", ReLU()))
         layers.append(("pool2", MaxPool2x2()))
+        layers.append(("relu2", ReLU()))
         layers.append(("flatten", Flatten()))
         h = ((height - 2) // 2 - 2) // 2
         w = ((width - 2) // 2 - 2) // 2

@@ -34,16 +34,16 @@ def record_eval_forwards(monkeypatch, state):
     return seen
 
 
-def make_state(rng, lambda1=0.6, lambda2=0.8, **kw):
+def make_state(rng, lambda1=0.6, lambda2=0.8, arch="tiny_mlp", size=8, **kw):
     init = np.random.default_rng(42)
-    q = build_network("tiny_mlp", 1, 8, 8, 3, init)
-    c = build_network("tiny_mlp", 1, 8, 8, 3, init)
+    q = build_network(arch, 1, size, size, 3, init)
+    c = build_network(arch, 1, size, size, 3, init)
     c.import_parameters(q.parameters())
     return ClientState(
         client_id=0,
         personalized=q,
         deputy=c,
-        data=toy_partition(rng),
+        data=toy_partition(rng, size=size),
         lambda1=lambda1,
         lambda2=lambda2,
         **kw,
@@ -163,18 +163,38 @@ class TestTrainBatch:
     @pytest.mark.parametrize(
         "phase,teachers",
         [
+            (CtoPhase.RETRIEVE, []),  # q trains first and lends its forward
+            (CtoPhase.RECIPROCATE, ["q"]),  # c trains first and lends its forward
+            (CtoPhase.REFINE, []),  # c trains first unless frozen
+        ],
+    )
+    @pytest.mark.parametrize("refine_trains_deputy", [True, False])
+    def test_only_read_teachers_run(self, rng, monkeypatch, phase, teachers, refine_trains_deputy):
+        # an eval forward runs only for a teacher no earlier lesson trains
+        state = make_state(rng, refine_trains_deputy=refine_trains_deputy)
+        state.phase = phase
+        batch, labels = self._batch(rng)
+        if phase is CtoPhase.REFINE and not refine_trains_deputy:
+            teachers = ["c"]
+        seen = record_eval_forwards(monkeypatch, state)
+        train_batch(state, batch, labels, LR)
+        assert seen == [(t, len(batch)) for t in teachers]
+
+    @pytest.mark.parametrize(
+        "phase,teachers",
+        [
             (CtoPhase.RETRIEVE, ["q"]),
             (CtoPhase.RECIPROCATE, ["q", "c"]),
             (CtoPhase.REFINE, ["c"]),
         ],
     )
-    @pytest.mark.parametrize("refine_trains_deputy", [True, False])
-    def test_only_read_teachers_run(self, rng, monkeypatch, phase, teachers, refine_trains_deputy):
-        state = make_state(rng, refine_trains_deputy=refine_trains_deputy)
+    def test_batchnorm_teachers_run_eval_forwards(self, rng, monkeypatch, phase, teachers):
+        # a BatchNorm training forward uses batch statistics, so it lends nothing
+        state = make_state(rng, arch="smallcnn_bn", size=10)
         state.phase = phase
-        batch, labels = self._batch(rng)
+        batch = rng.normal(size=(6, 1, 10, 10))
         seen = record_eval_forwards(monkeypatch, state)
-        train_batch(state, batch, labels, LR)
+        train_batch(state, batch, rng.integers(0, 3, size=6), LR)
         assert seen == [(t, len(batch)) for t in teachers]
 
     def test_retrieve_q_update_independent_of_deputy(self, rng):
@@ -198,20 +218,31 @@ class TestTrainBatch:
     @pytest.mark.parametrize("refine_trains_deputy", [True, False], ids=["refine", "frozen"])
     @pytest.mark.parametrize("mu", [0.0, 0.5], ids=["mu0", "mu0.5"])
     def test_matches_scripted_reference_simulation(self, rng, mu, refine_trains_deputy):
-        # independent step-by-step re-implementation of the phase rules
-        batch = rng.normal(size=(5, 1, 8, 8))
+        self._check_scripted_reference(rng, mu, refine_trains_deputy, "tiny_mlp", 8)
+
+    @pytest.mark.parametrize("refine_trains_deputy", [True, False], ids=["refine", "frozen"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5], ids=["mu0", "mu0.5"])
+    @pytest.mark.parametrize("arch", ["smallcnn", "smallcnn_bn"])
+    def test_pooling_nets_match_scripted_reference(self, rng, arch, mu, refine_trains_deputy):
+        self._check_scripted_reference(rng, mu, refine_trains_deputy, arch, 12)
+
+    @staticmethod
+    def _check_scripted_reference(rng, mu, refine_trains_deputy, arch, size):
+        # independent step-by-step re-implementation of the phase rules,
+        # every teacher an eval forward taken before either model updates
+        batch = rng.normal(size=(5, 1, size, size))
         labels = rng.integers(0, 3, size=5)
         # a FedProx anchor that differs from the weights, so mu > 0 moves them
-        anchor = build_network("tiny_mlp", 1, 8, 8, 3, np.random.default_rng(7)).parameters()
+        anchor = build_network(arch, 1, size, size, 3, np.random.default_rng(7)).parameters()
 
-        state = make_state(rng, refine_trains_deputy=refine_trains_deputy)
+        state = make_state(rng, refine_trains_deputy=refine_trains_deputy, arch=arch, size=size)
         state.last_received = anchor
         assert not anchor.allclose(state.deputy.parameters(), atol=1e-3)
         phases = [CtoPhase.RETRIEVE, CtoPhase.RECIPROCATE, CtoPhase.REFINE]
 
         init = np.random.default_rng(42)
-        q = build_network("tiny_mlp", 1, 8, 8, 3, init)
-        c = build_network("tiny_mlp", 1, 8, 8, 3, init)
+        q = build_network(arch, 1, size, size, 3, init)
+        c = build_network(arch, 1, size, size, 3, init)
         c.import_parameters(q.parameters())
         prox = (mu, anchor)  # the deputy's only
         for phase in phases:

@@ -6,6 +6,7 @@ import pytest
 from fedspectra.datasynth import (
     ClientPartition,
     SynthSpec,
+    _class_image,
     augment,
     default_class_counts,
     default_style,
@@ -61,6 +62,33 @@ class TestGenerate:
             for split in ("train", "val", "test"):
                 assert np.array_equal(pa.split(split).images, pb.split(split).images)
                 assert np.array_equal(pa.split(split).labels, pb.split(split).labels)
+
+    @pytest.mark.parametrize("channels,h,w,jitter", [(1, 32, 32, True), (3, 12, 20, False)])
+    def test_class_image_matches_meshgrid_formula(self, channels, h, w, jitter):
+        def meshgrid_class_image(label, classes, rng):
+            # the full-grid formula the broadcast one replaced
+            yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+            freq = label + 1
+            if jitter:
+                p1, p2, ang = rng.uniform(0.0, 2 * np.pi, size=3)
+                radius_jitter = rng.uniform(-0.02, 0.02)
+            else:
+                p1 = p2 = ang = radius_jitter = 0.0
+            base = 0.5 + 0.25 * np.sin(2 * np.pi * freq * yy / h + p1) * np.cos(
+                2 * np.pi * freq * xx / w + p2
+            )
+            radius = (0.10 + 0.25 * label / max(classes - 1, 1) + radius_jitter) * min(h, w)
+            cy = h / 2 + radius * np.sin(ang)
+            cx = w / 2 + radius * np.cos(ang)
+            sigma = min(h, w) / 10.0
+            blob = 0.6 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
+            return np.repeat((base + blob)[None, :, :], channels, axis=0)
+
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for label in [0, 1, 2, 2, 0]:
+            img = _class_image(label, 3, channels, h, w, rng, jitter)
+            ref = meshgrid_class_image(label, 3, ref_rng)
+            assert img.shape == ref.shape and img.tobytes() == ref.tobytes()
 
     def test_different_seeds_differ(self):
         a = generate(small_spec(seed=1))
@@ -209,6 +237,18 @@ class TestDatasetIo:
         victim = next((tmp_path / "data" / "client_0" / "images").glob("*.fmmt"))
         fmmt.write_tensor(victim, np.zeros((1, 3, 3)))
         with pytest.raises(IngestionError, match="shape"):
+            load_dataset(tmp_path / "data")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_names_file(self, tmp_path, value):
+        from fedspectra import fmmt
+
+        export_dataset(generate(small_spec()), tmp_path / "data")
+        victim = tmp_path / "data" / "client_1" / "images" / "train_00003.fmmt"
+        img = fmmt.read_tensor(victim)
+        img[0, 2, 5] = value
+        fmmt.write_tensor(victim, img)
+        with pytest.raises(IngestionError, match="client_1/images/train_00003.fmmt: non-finite"):
             load_dataset(tmp_path / "data")
 
     def test_bad_label_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,47 @@ class TestMaxPool:
 
     def test_batch_of_one(self, rng):
         self._check(rng.normal(size=(1, 4, 10, 10)), rng)
+
+
+def relu_before_pooling(net):
+    """A deep copy of `net` with each ReLU moved back in front of the
+    pooling layer it follows, the order smallcnn used to be built in."""
+    old = copy.deepcopy(net)
+    layers = old.layers
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i][1], MaxPool2x2) and isinstance(layers[i + 1][1], ReLU):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return old
+
+
+class TestReluAfterPooling:
+    @pytest.mark.parametrize("arch", ["smallcnn", "smallcnn_bn"])
+    @pytest.mark.parametrize("n,size", [(1, 13), (4, 15), (3, 16)])
+    def test_same_bits_as_relu_before_pooling(self, rng, arch, n, size):
+        net = build_network(arch, 1, size, size, 3, rng)
+        names = [name for name, _ in net.layers]
+        assert names.index("pool1") < names.index("relu1")
+        assert names.index("pool2") < names.index("relu2")
+        old = relu_before_pooling(net)
+        assert [name for name, _ in old.layers] != names
+        # negative conv1 biases and a constant band of input rows give many
+        # all-negative windows and many tied windows
+        net.layers[0][1].params["bias"][:] = rng.normal(-0.5, 0.5, 8)
+        old.layers[0][1].params["bias"][:] = net.layers[0][1].params["bias"]
+        x = rng.normal(size=(n, 1, size, size))
+        x[:, :, : size // 2] = 0.0
+        pooled = x
+        for name, layer in net.layers[: names.index("pool1") + 1]:
+            pooled = layer.forward(pooled, train=False)
+        assert (pooled <= 0).mean() > 0.3
+        labels = rng.integers(0, 3, size=n)
+        teacher = np.full((n, 3), 1.0 / 3)
+
+        assert _same_bits(net.forward(x), old.forward(x))
+        assert _same_bits(backward(net, x, labels, teacher), backward(old, x, labels, teacher))
+        for g, g_old in zip(net.gradients(), old.gradients()):
+            assert g.name == g_old.name
+            assert _same_bits(g.tensor, g_old.tensor), g.name
 
 
 class ReferenceBatchNorm:
