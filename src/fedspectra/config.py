@@ -56,6 +56,11 @@ class RunConfig(FederationConfig):
 
     def validate(self) -> None:
         super().validate()
+        for f in dataclasses.fields(self):  # serialize_config's text must parse back
+            value = getattr(self, f.name)
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} {value!r} cannot hold '#', line breaks or edge spaces")
         if self.classes < 2:
             raise ConfigError("classes must be >= 2")
         if self.count_scale <= 0:

@@ -8,19 +8,19 @@ divides by rows*cols. A naive direct-summation DFT lives in the test
 suite as the independent oracle.
 
 Complex-mode aggregation is linear and its mask is the outer product of
-two k -> -k symmetric axis selections, so it runs as a separable real
-low-pass filter: out_k = X_k - A_r X_k A_c + L, with A_r and A_c real
-symmetric circulant matrices built from the inverse transform of each
-axis selection and L the masked low band of the client mean. One 2-D
-transform pair per entry serves all clients. amplitude_phase mode
-(nonlinear) and an explicit mask override (not always separable)
-transform every client's spectrum instead, in one batched pair per entry.
+two k -> -k symmetric axis selections, so it runs client by client as a
+separable real low-pass filter: out_k = X_k - A_r X_k A_c + L, with A_r
+and A_c real symmetric circulant matrices (a product is skipped where a
+full selection makes its A exactly the identity) and L the masked low band
+of the client mean: one transform pair per entry, transient memory one
+client's temporaries. amplitude_phase mode (nonlinear) and a mask override
+(not always separable) transform every client of the stacked uploads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,22 +163,30 @@ def _real_part(back: np.ndarray) -> np.ndarray:
     return back.real
 
 
-def _low_pass_matrix(n: int, s: float) -> np.ndarray:
+def _low_pass_matrix(n: int, s: float) -> Optional[np.ndarray]:
     """Real symmetric circulant A with A @ x == ifft(selection * fft(x)) for
-    a length-n axis; its kernel is the inverse transform of the selection."""
+    a length-n axis, built from the inverse transform of the selection; None
+    where A is exactly the identity (a full selection at n = 3, 64, 576, not 7)."""
     kernel = ifft2d_complex(_axis_selection(n, s)[:, None])[:, 0].real
+    if kernel[0] == 1.0 and not kernel[1:].any():
+        return None
     k = np.arange(n)
     return kernel[(k[:, None] - k[None, :]) % n]
 
 
-def _filter_complex(stack: np.ndarray, s: float) -> np.ndarray:
-    """Complex-mode CFA of [clients, rows, cols] uploads:
-    X_k - A_r X_k A_c + L, with L the low band of the client mean."""
-    rows, cols = stack.shape[1:]
-    spec = fft2d(stack.mean(axis=0))
+def _filter_complex(tensors: Sequence[np.ndarray], s: float) -> Iterator[np.ndarray]:
+    """Complex-mode CFA, client by client: X_k - A_r X_k A_c + L, with L the
+    low band of the client mean. The product of an identity A is skipped."""
+    rows, cols = tensors[0].shape
+    spec = fft2d(tensor_mean(tensors))
     low = _real_part(ifft2d_complex(np.where(_mask_saturating(rows, cols, s), spec, 0)))
-    own_low = _low_pass_matrix(rows, s) @ stack @ _low_pass_matrix(cols, s)
-    return stack - own_low + low
+    a_r, a_c = _low_pass_matrix(rows, s), _low_pass_matrix(cols, s)
+    for x in tensors:
+        own = x if a_r is None else a_r @ x
+        own = own if a_c is None else own @ a_c
+        out = np.subtract(x, own, out=None if own is x else own)
+        out += low
+        yield out
 
 
 def _per_client_fft(
@@ -207,10 +215,10 @@ def cfa_aggregate(
     coefficients inside the low-frequency mask are replaced by the
     cross-client mean; each client keeps its own coefficients outside the
     mask. Dense matrices are transformed as-is; 1-D parameters are merged
-    by plain mean. Complex mode runs as a separable real filter on the
-    stacked uploads; amplitude_phase mode and `mask_override` (a test hook:
-    s < 0.5 can never produce a full mask) transform each client. A
-    non-finite upload raises NonFiniteError.
+    by plain mean. Complex mode filters client by client and skips the
+    product of an identity axis filter; amplitude_phase mode and
+    `mask_override` (a test hook: s < 0.5 can never produce a full mask)
+    transform the stacked uploads. A non-finite upload raises NonFiniteError.
     """
     require_all_congruent(client_sets)
     if mask_override is None and not (0.0 < s < 1.0):
@@ -231,17 +239,14 @@ def cfa_aggregate(
         if proto.kind == "conv4d":
             a, b, c1, c2 = proto.tensor.shape
             tensors = [reshape_conv_to_matrix(t) for t in tensors]
-        stack = np.stack(tensors)
-        rows, cols = stack.shape[1:]
         if domain_mode == "complex" and mask_override is None:
-            results = _filter_complex(stack, s)
+            results = _filter_complex(tensors, s)
         else:
-            mask = _mask_saturating(rows, cols, s) if mask_override is None else mask_override
-            if mask.shape != (rows, cols):
-                raise ShapeError(
-                    f"mask shape {mask.shape} does not match spectrum {(rows, cols)}"
-                )
-            results = _per_client_fft(stack, mask, domain_mode)
+            shape = tensors[0].shape
+            mask = _mask_saturating(*shape, s) if mask_override is None else mask_override
+            if mask.shape != shape:
+                raise ShapeError(f"mask shape {mask.shape} does not match spectrum {shape}")
+            results = _per_client_fft(np.stack(tensors), mask, domain_mode)
         for out, real in zip(outputs, results):
             if proto.kind == "conv4d":
                 real = matrix_to_conv(real, a, b, c1, c2)

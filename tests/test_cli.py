@@ -110,6 +110,36 @@ class TestConfigParsing:
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("key", ["profile", "dataset_dir", "out_dir"])
+    @pytest.mark.parametrize(
+        "value", ["runs/exp#3", " data ", "data ", "\tdata", "a\nb", "a\rb", "a\u2028b", "data\n"]
+    )
+    def test_unserializable_string_rejected_naming_key(self, key, value):
+        # parse_config_text cuts each line at '#', splits at line breaks and
+        # strips values, so these would not read back as written
+        cfg = RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", ["", "runs/my exp", "a=b", "dir with\ttab"])
+    def test_inner_spaces_and_equals_round_trip(self, value):
+        cfg = RunConfig(out_dir=value, dataset_dir=value)
+        cfg.validate()
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "args", [["--out", "runs/exp#3"], ["--out", " data "], ["--set", "dataset_dir=d#1"]]
+    )
+    def test_unserializable_value_exits_2_before_any_directory(
+        self, tiny_cfg, tmp_path, monkeypatch, capsys, args
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--config", str(tiny_cfg), *args])
+        assert rc == 2
+        key = "dataset_dir" if "--set" in args else "out_dir"
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
     def test_serialize_round_trips_every_key(self):
         changed = dict(
             profile="p", num_clients=3, comm_interval=5, total_epochs=20,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fedspectra.spectral import (
     schedule_threshold,
     to_amplitude_phase,
 )
-from fedspectra.tensors import ParamEntry, ParameterSet
+from fedspectra.tensors import ParamEntry, ParameterSet, matrix_to_conv, reshape_conv_to_matrix
 
 
 class TestFft:
@@ -373,6 +375,82 @@ class TestCfaFilterForm:
         mean = np.mean([cs.entries[0].tensor for cs in sets], axis=0)
         for out in outs:
             assert np.abs(out.entries[0].tensor - mean).max() <= 1e-12 * max(1.0, np.abs(mean).max())
+
+
+def _circulant_low_pass(n, s):
+    kernel = np.fft.ifft2(_wrapped_mask(n, 1, s).astype(complex))[:, 0].real
+    k = np.arange(n)
+    return kernel[(k[:, None] - k[None, :]) % n]
+
+
+def _stacked_cfa(sets, s):
+    """Complex-mode CFA as one whole-stack formula per entry: L from
+    stack.mean(axis=0), then stack - A_r @ stack @ A_c + L, with every
+    product taken, an identity A's included."""
+    outs = [[] for _ in sets]
+    for idx, proto in enumerate(sets[0].entries):
+        tensors = [cs.entries[idx].tensor for cs in sets]
+        if proto.kind == "conv4d":
+            tensors = [reshape_conv_to_matrix(t) for t in tensors]
+        stack = np.stack(tensors)
+        if proto.kind == "vector1d":
+            results = [stack.mean(axis=0)] * len(sets)
+        else:
+            rows, cols = stack.shape[1:]
+            spec = np.fft.fft2(stack.mean(axis=0))
+            low = np.fft.ifft2(np.where(_wrapped_mask(rows, cols, s), spec, 0)).real
+            a_r, a_c = _circulant_low_pass(rows, s), _circulant_low_pass(cols, s)
+            results = stack - a_r @ stack @ a_c + low
+        for out, real in zip(outs, results):
+            if proto.kind == "conv4d":
+                real = matrix_to_conv(real, *proto.tensor.shape)
+            out.append(real)
+    return outs
+
+
+class TestCfaPerClientFilter:
+    """Complex-mode CFA filters one client at a time and skips the product
+    of an A that is exactly the identity; the bits equal the whole-stack
+    formula's."""
+
+    _ODD_SHAPES = [(1, 9), (9, 1), (5, 7), (12, 10), (3, 3, 3, 5), (16, 8, 3, 3)]
+
+    @staticmethod
+    def _uploads(kind, n, seed=5):
+        rng = np.random.default_rng(seed)
+        if kind == "smallcnn":
+            return [build_network("smallcnn", 1, 32, 32, 3, rng).parameters() for _ in range(n)]
+        return [_set_of([rng.normal(size=shape) for shape in TestCfaPerClientFilter._ODD_SHAPES])
+                for _ in range(n)]
+
+    # 0.34 saturates the 3-long axes (conv1's columns, fc2's rows) and no
+    # other smallcnn axis; from 0.5 every axis is saturated. From 0.45 the
+    # 7-long axis of (5, 7) is saturated too, but its A is not exactly the
+    # identity (rounding of 1e-17), so its product must stay.
+    @pytest.mark.parametrize("s", [0.26, 0.30, 0.34, 0.45, 0.5, 0.55])
+    @pytest.mark.parametrize("n_clients", [1, 2, 5, 32])
+    @pytest.mark.parametrize("kind", ["smallcnn", "odd_shapes"])
+    def test_bitwise_equal_to_stacked_formula(self, kind, n_clients, s):
+        sets = self._uploads(kind, n_clients)
+        for out, ref in zip(cfa_aggregate(sets, s), _stacked_cfa(sets, s)):
+            for entry, want in zip(out.entries, ref):
+                got = entry.tensor
+                assert got.shape == want.shape, entry.name
+                assert np.array_equal(got, want), entry.name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), entry.name
+
+    def test_transient_memory_is_one_client_plus_outputs(self):
+        # a whole-stack filter holds several [32, 64, 576] arrays at once
+        # and peaks near four times the outputs
+        sets = self._uploads("smallcnn", 32)
+        tracemalloc.start()
+        try:
+            outs = cfa_aggregate(sets, 0.30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(e.tensor.nbytes for out in outs for e in out.entries)
+        assert peak < 1.5 * out_bytes
 
 
 class TestCfaNonFinite:
