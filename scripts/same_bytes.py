@@ -88,7 +88,9 @@ def _run(tree: Path, work: Path, name: str) -> dict:
     return _file_hashes(cwd / "run")
 
 
-def _extract(rev: str, dest: Path) -> str:
+def extract(rev: str, dest: Path) -> str:
+    """Write the committed tree of `rev` into the new directory `dest`;
+    return the full commit id."""
     parsed = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
         capture_output=True, text=True,
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         sides = {"tree": ROOT}
         if args.against:
-            commit = _extract(args.against, tmp / "against_src")
+            commit = extract(args.against, tmp / "against_src")
             print(f"against {args.against} = {commit}")
             sides["against"] = tmp / "against_src"
         jobs = [(side, name) for name in CONFIGS for side in sides]

@@ -83,7 +83,7 @@ class ClientState:
         }
 
     def upload(self) -> ParameterSet:
-        return self.deputy.parameters()
+        return self.deputy.view()
 
     def receive(self, ps: ParameterSet) -> None:
         on_receive(self, ps)

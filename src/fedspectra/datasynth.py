@@ -173,32 +173,19 @@ def generate(spec: SynthSpec) -> List[ClientPartition]:
     partitions, unstratified = [], []
     for cid in range(n_clients):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7 + cid]))
-        images, labels = [], []
-        for label, m in enumerate(counts[cid]):
-            for _ in range(m):
-                img = _class_image(
-                    label,
-                    spec.classes,
-                    spec.channels,
-                    spec.height,
-                    spec.width,
-                    rng,
-                    spec.jitter,
-                )
-                img = spec.contrast[cid] * img + spec.brightness[cid]
-                if spec.noise_level > 0:
-                    img = img + rng.normal(0.0, spec.noise_level, img.shape)
-                images.append(img)
-                labels.append(label)
-        images = np.stack(images)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.repeat(np.arange(spec.classes, dtype=np.int64), counts[cid])
+        images = np.empty((len(labels), spec.channels, spec.height, spec.width))
+        for i, label in enumerate(labels.tolist()):
+            img = _class_image(
+                label, spec.classes, spec.channels, spec.height, spec.width, rng, spec.jitter
+            )
+            images[i] = spec.contrast[cid] * img + spec.brightness[cid]
+            if spec.noise_level > 0:
+                images[i] += rng.normal(0.0, spec.noise_level, img.shape)
         split_idx, stratified = _stratified_split(labels, rng)
         if not stratified:
             unstratified.append(cid)
-        parts = {
-            s: SplitData(images[ix].copy(), labels[ix].copy())
-            for s, ix in split_idx.items()
-        }
+        parts = {s: SplitData(images[ix], labels[ix]) for s, ix in split_idx.items()}
         partitions.append(
             ClientPartition(cid, parts["train"], parts["val"], parts["test"])
         )

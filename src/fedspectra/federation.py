@@ -21,16 +21,18 @@ Every client, the baseline `_Client` here and the deputy machine
 
 Copy rule: every client model starts as a deep copy of one network built
 from the seed. After that, parameter arrays are copied only into and out
-of a Network (`import_parameters`, `parameters()`). Uploads, aggregates
-and FedProx anchors share arrays and are only read; clients may share one
-anchor. A model the server overwrites equals its received aggregate until
-the next round trains it (round evaluation does not train), so that
-aggregate is also its checkpoint payload; only a model the server never
-replaces is copied for saving.
+of a Network (`import_parameters`, `parameters()`). An upload shares its
+model's arrays until `receive` installs fresh copies. Uploads, aggregates
+and FedProx anchors are only read; clients may share one anchor. A model
+the server overwrites equals its received aggregate until the next round
+trains it (round evaluation does not train), so that aggregate is also its
+checkpoint payload; only a model the server never replaces is copied for
+saving. The previous aggregate is released once written, so a client
+holds two parameter sets at aggregation: its model and the new aggregate.
 
 `run_experiment` checks its inputs, builds the clients, then calls
-`_run_round` once per round: train `comm_interval` local epochs, take the
-uploads, wait for the previous round's checkpoint writes, aggregate,
+`_run_round` once per round: train `comm_interval` local epochs, wait for
+the previous round's checkpoint writes, aggregate the uploads,
 redistribute, evaluate. The returned `RoundReport` holds the round's metric
 records and events (guard events in epoch order, then the aggregation
 event); `events.jsonl` is their concatenation.
@@ -213,7 +215,7 @@ class _Client:
         return None
 
     def upload(self) -> ParameterSet:
-        return self.model.parameters()
+        return self.model.view()
 
     def receive(self, ps: ParameterSet) -> None:
         self.model.import_parameters(ps)
@@ -386,10 +388,12 @@ def _run_round(
     for e in range(epoch - cfg.comm_interval, epoch):
         events.extend(filter(None, run(lambda c: client_local_epoch(c, e, cfg), clients)))
     s = schedule_threshold(cfg.cfa, epoch) if cfg.aggregator == "cfa" else None
-    uploads = [c.upload() for c in clients]
     for write in pending:
         write.result()  # re-raises a write's error
-    new_sets = _aggregate(cfg, uploads, [len(c.data.train) for c in clients], s)
+    for c in clients:  # written, and the epochs that read it as anchor are done
+        c.last_received = None
+    weights = [len(c.data.train) for c in clients]
+    new_sets = _aggregate(cfg, [c.upload() for c in clients], weights, s)
     for c, ps in zip(clients, new_sets):
         c.receive(ps)
     events.append(

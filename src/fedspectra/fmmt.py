@@ -22,15 +22,15 @@ _CODE_FOR = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, order="C")  # ascontiguousarray would make 0-d input 1-d
-    if arr.dtype not in _CODE_FOR:
-        arr = arr.astype(np.float64)
-    code = _CODE_FOR[arr.dtype]
+    arr = np.asarray(arr)
+    code = _CODE_FOR.get(arr.dtype, 2)  # any other dtype is written as float64
+    # copied only to convert or make contiguous; ascontiguousarray would make 0-d 1-d
+    arr = np.asarray(arr, _DTYPE_CODES[code], order="C")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IB I", VERSION, code, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        f.write(arr.data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -5,10 +5,11 @@ Layers: valid 2-D convolution, dense, relu, 2x2 max pooling, batch norm
 last dense layer's logits ends the network. No autodiff tape: each layer
 implements its own backward pass, checked against finite differences.
 
-Copy rule: a Network owns its arrays. `import_parameters` copies in,
-`parameters()` and `gradients()` copy out. `backward` leaves gradients in
-each layer's `grads`, `sgd_step` updates `params` in place and only reads
-its anchor.
+Copy rule: a Network owns its arrays. `import_parameters` installs fresh
+copies, `parameters()` and `gradients()` copy out, and `view()` shares them.
+`backward` leaves gradients in each layer's `grads`; `sgd_step` consumes
+them (no gradient outlives the step), updates `params` in place and only
+reads its anchor.
 
 Kernel rules:
 - 2x2 max pooling routes each window's gradient to one slot: the first
@@ -325,8 +326,9 @@ class Network:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _view(self, arrays: Callable[[Layer], Dict[str, np.ndarray]]) -> ParameterSet:
-        """A set sharing `arrays(layer)` of each layer, in layer order."""
+    def view(self, arrays: Callable[[Layer], Dict[str, np.ndarray]] = _state) -> ParameterSet:
+        """A set sharing `arrays(layer)` of each layer (by default every
+        parameter, then every buffer), in layer order."""
         return ParameterSet(
             [
                 ParamEntry(f"{lname}.{name}", value, kind_of(value), isinstance(layer, BatchNorm))
@@ -337,15 +339,15 @@ class Network:
 
     def parameters(self) -> ParameterSet:
         """A copy of every parameter, then every buffer, of each layer."""
-        return self._view(_state).copy()
+        return self.view().copy()
 
     def gradients(self) -> ParameterSet:
         """A copy of each parameter's gradient from the last `backward`."""
-        return self._view(lambda layer: {n: layer.grads[n] for n in layer.params}).copy()
+        return self.view(lambda layer: {n: layer.grads[n] for n in layer.params}).copy()
 
     def import_parameters(self, ps: ParameterSet) -> None:
-        """Copy every tensor of a congruent set into the network."""
-        self._view(_state).require_congruent(ps)
+        """Install a fresh copy of every tensor of a congruent set."""
+        self.view().require_congruent(ps)
         for lname, layer in self.layers:
             for store in (layer.params, layer.buffers):
                 for name in store:
@@ -419,12 +421,14 @@ class LrSchedule:
 def sgd_step(
     net: Network, lr: float, prox: Optional[Tuple[float, Optional[ParameterSet]]] = None
 ) -> None:
-    """w <- w - lr * (g + mu * (w - anchor)) in place, with g from the last
-    `backward`; buffers are untouched. The anchor is only read."""
+    """w <- w - lr * (g + mu * (w - anchor)) in place, with g taken out of
+    `grads`; buffers are untouched. The anchor is only read."""
     mu, anchor = (0.0, None) if prox is None else prox
     for lname, layer in net.layers:
         for pname, w in layer.params.items():
-            g = layer.grads[pname]
+            g = layer.grads.pop(pname, None)
+            if g is None:
+                raise RuntimeError(f"sgd_step without a backward: {lname}.{pname} has no gradient")
             if mu != 0.0 and anchor is not None:
                 g = g + mu * (w - anchor.get(f"{lname}.{pname}").tensor)
             w -= lr * g

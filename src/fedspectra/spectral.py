@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
 from .tensors import (
@@ -170,8 +171,8 @@ def _low_pass_matrix(n: int, s: float) -> Optional[np.ndarray]:
     kernel = ifft2d_complex(_axis_selection(n, s)[:, None])[:, 0].real
     if kernel[0] == 1.0 and not kernel[1:].any():
         return None
-    k = np.arange(n)
-    return kernel[(k[:, None] - k[None, :]) % n]
+    r = kernel[::-1]  # row i of A is r's doubled window starting at n - 1 - i
+    return np.ascontiguousarray(sliding_window_view(np.concatenate([r, r]), n)[n - 1 :: -1])
 
 
 def _filter_complex(tensors: Sequence[np.ndarray], s: float) -> Iterator[np.ndarray]:

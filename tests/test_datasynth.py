@@ -5,8 +5,10 @@ import pytest
 
 from fedspectra.datasynth import (
     ClientPartition,
+    SplitData,
     SynthSpec,
     _class_image,
+    _stratified_split,
     augment,
     default_class_counts,
     default_style,
@@ -30,6 +32,29 @@ def small_spec(**kw):
     )
     defaults.update(kw)
     return SynthSpec(**defaults)
+
+
+def _stacked_reference(spec):
+    """`generate` as a per-image list, one stack and copied splits, drawing
+    the same random numbers in the same order."""
+    partitions = []
+    for cid, row in enumerate(spec.client_class_counts):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7 + cid]))
+        images, labels = [], []
+        for label, m in enumerate(row):
+            for _ in range(m):
+                img = _class_image(label, spec.classes, spec.channels, spec.height, spec.width,
+                                   rng, spec.jitter)
+                img = spec.contrast[cid] * img + spec.brightness[cid]
+                if spec.noise_level > 0:
+                    img = img + rng.normal(0.0, spec.noise_level, img.shape)
+                images.append(img)
+                labels.append(label)
+        images, labels = np.stack(images), np.asarray(labels, dtype=np.int64)
+        split_idx, _ = _stratified_split(labels, rng)
+        parts = {s: SplitData(images[ix].copy(), labels[ix].copy()) for s, ix in split_idx.items()}
+        partitions.append(ClientPartition(cid, parts["train"], parts["val"], parts["test"]))
+    return partitions
 
 
 class TestGenerate:
@@ -62,6 +87,30 @@ class TestGenerate:
             for split in ("train", "val", "test"):
                 assert np.array_equal(pa.split(split).images, pb.split(split).images)
                 assert np.array_equal(pa.split(split).labels, pb.split(split).labels)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"channels": 3, "height": 6, "width": 10, "jitter": False},
+            {"noise_level": 0.0},
+            {"client_class_counts": [[5, 0, 2], [0, 0, 4]]},  # unstratified, empty classes
+            {"client_class_counts": default_class_counts(6, 0.02), "brightness": [0.0] * 6,
+             "contrast": [1.0] * 6},
+        ],
+        ids=["small", "rgb_no_jitter", "no_noise", "unstratified", "six_clients"],
+    )
+    def test_equals_per_image_stack_reference(self, kw):
+        spec = small_spec(**kw)
+        for got, want in zip(generate(spec), _stacked_reference(spec), strict=True):
+            for split in ("train", "val", "test"):
+                g, w = got.split(split), want.split(split)
+                assert g.images.dtype == np.float64 and g.labels.dtype == np.int64
+                assert g.images.flags.c_contiguous and g.labels.flags.c_contiguous
+                assert np.array_equal(g.images, w.images) and np.array_equal(g.labels, w.labels)
+                assert np.array_equal(np.signbit(g.images), np.signbit(w.images))
+            splits = [got.split(s).images for s in ("train", "val", "test")]
+            assert not any(np.shares_memory(a, b) for a in splits for b in splits if a is not b)
 
     @pytest.mark.parametrize("channels,h,w,jitter", [(1, 32, 32, True), (3, 12, 20, False)])
     def test_class_image_matches_meshgrid_formula(self, channels, h, w, jitter):

@@ -2,12 +2,14 @@ import csv
 import json
 import logging
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from fedspectra import cto, federation, fmmt
-from fedspectra.datasynth import SplitData, SynthSpec, generate
+from fedspectra.datasynth import SplitData, SynthSpec, default_style, generate
 from fedspectra.errors import ConfigError, DomainError, NonFiniteError
 from fedspectra.federation import (
     FederationConfig,
@@ -113,9 +115,13 @@ class TestFedavg:
             fedavg_aggregate(sets, [1, 1])
 
 
-def _smallcnn_bn_uploads(n=3):
+def _smallcnn_bn_nets(n=3):
     rng = np.random.default_rng(11)
-    return [build_network("smallcnn_bn", 1, 12, 12, 3, rng).parameters() for _ in range(n)]
+    return [build_network("smallcnn_bn", 1, 12, 12, 3, rng) for _ in range(n)]
+
+
+def _smallcnn_bn_uploads(n=3):
+    return [net.view() for net in _smallcnn_bn_nets(n)]
 
 
 class TestAggregateOwnership:
@@ -135,19 +141,30 @@ class TestAggregateOwnership:
         ],
     )
     def test_uploads_unchanged(self, aggregator, fedbn, bn_only):
-        uploads = _smallcnn_bn_uploads()
+        # uploads share the live networks' arrays, as `upload()` does; each
+        # network then installs its output and trains on
+        nets = _smallcnn_bn_nets()
+        uploads = [net.view() for net in nets]
         if bn_only:  # a batch-norm-only network: FedBN retains every entry
             uploads = [fedbn_filter(u)[1] for u in uploads]
         before = [u.copy() for u in uploads]
         cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=fedbn, num_clients=3)
         out = _aggregate(cfg, uploads, [3, 1, 2], 0.3)
+        out_before = [o.copy() for o in out]
         if bn_only:  # each client gets its own entries back
             for o, b in zip(out, before):
                 assert o.identical(b)
         else:
             assert not out[0].identical(before[0])  # aggregation did change the model
+            rng = np.random.default_rng(2)
+            for net, o in zip(nets, out):
+                net.import_parameters(o)
+                backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+                sgd_step(net, 0.1)
         for u, b in zip(uploads, before):
             assert u.identical(b)
+        for o, b in zip(out, out_before):
+            assert o.identical(b)
 
     @pytest.mark.parametrize("fedbn", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -166,6 +183,96 @@ class TestAggregateOwnership:
         cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=True, num_clients=3)
         with pytest.raises(NonFiniteError, match=r"'bn1\.running_mean'.*client 1"):
             _aggregate(cfg, uploads, [1, 1, 1], 0.3)
+
+
+def _live_model(client):
+    return client.deputy if isinstance(client, cto.ClientState) else client.model
+
+
+class TestUploadSharesModel:
+    """An upload is a view of the model; `receive` installs fresh copies, so
+    neither the upload nor the received set changes as training goes on."""
+
+    @pytest.mark.parametrize("cto_enabled", [False, True])
+    def test_upload_shares_every_array(self, cto_enabled):
+        cfg = tiny_config(cto_enabled=cto_enabled, arch="smallcnn_bn")
+        for client in federation._init_clients(cfg, tiny_partitions(size=12), 3):
+            layers = dict(_live_model(client).layers)
+            upload = client.upload()
+            assert len(upload) == len(_live_model(client).parameters())
+            for e in upload:
+                lname, name = e.name.rsplit(".", 1)
+                arrays = {**layers[lname].params, **layers[lname].buffers}
+                assert np.shares_memory(e.tensor, arrays[name]), e.name
+
+    @pytest.mark.parametrize("cto_enabled", [False, True], ids=["baseline", "cto"])
+    @pytest.mark.parametrize("fedbn", [False, True], ids=["shared_bn", "fedbn"])
+    @pytest.mark.parametrize("aggregator", ["cfa", "fedavg"])
+    def test_uploads_and_received_sets_survive_training(self, aggregator, fedbn, cto_enabled):
+        cfg = tiny_config(aggregator=aggregator, fedbn_exclude_bn=fedbn, cto_enabled=cto_enabled,
+                          arch="smallcnn_bn", fedprox_mu=0.5)
+        parts = tiny_partitions(size=12)
+        clients = federation._init_clients(cfg, parts, 3)
+        for c in clients:
+            client_local_epoch(c, 0, cfg)
+        uploads = [c.upload() for c in clients]
+        uploads_bits = [u.copy() for u in uploads]
+        received = _aggregate(cfg, uploads, [len(p.train) for p in parts], 0.3)
+        received_bits = [r.copy() for r in received]
+        if fedbn:  # retained entries pass from the upload into the aggregate
+            for u, r in zip(uploads, received):
+                assert r.get("bn1.running_mean").tensor is u.get("bn1.running_mean").tensor
+        for c, r in zip(clients, received):
+            c.receive(r)
+        for c in clients:
+            client_local_epoch(c, 1, cfg)
+        for u, bits in zip(uploads, uploads_bits):
+            assert u.identical(bits)
+        for c, r, bits in zip(clients, received, received_bits):
+            assert c.last_received is r and r.identical(bits)
+            assert not _live_model(c).parameters().identical(bits)  # the model did train
+
+
+class TestRoundMemory:
+    @pytest.mark.parametrize("aggregator", ["cfa", "fedavg"])
+    def test_previous_aggregate_released_before_aggregation(self, monkeypatch, aggregator):
+        aggregate, alive = federation._aggregate, []
+
+        def spy(*args):
+            assert not [r for r in alive if r() is not None]  # nothing holds last round's
+            out = aggregate(*args)
+            alive[:] = [weakref.ref(ps) for ps in out]
+            return out
+
+        monkeypatch.setattr(federation, "_aggregate", spy)
+        cfg = tiny_config(aggregator=aggregator, fedprox_mu=0.5, comm_interval=1, total_epochs=3)
+        run_experiment(cfg, tiny_partitions())
+        assert alive and all(r() is None for r in alive)  # the run returned, its clients too
+
+    def test_two_parameter_sets_per_client_at_aggregation(self, monkeypatch, tmp_path):
+        # 32 clients on smallcnn, CFA after every epoch, checkpoints on. A
+        # client holds its model and, from its first receive, the aggregate
+        # (checkpoint payload and anchor); the round's new aggregate joins
+        # them only once the old one is written and released. An upload
+        # copy, a kept gradient set or a kept anchor each add a set.
+        monkeypatch.setenv("FEDSPECTRA_THREADS", "1")
+        n = 32
+        brightness, contrast = default_style(n)
+        parts = generate(SynthSpec(classes=3, client_class_counts=[[4, 4, 4]] * n,
+                                   brightness=brightness, contrast=contrast, seed=1))
+        cfg = FederationConfig(num_clients=n, comm_interval=1, total_epochs=2, aggregator="cfa",
+                               cto_enabled=False, seed=1)
+        start = build_network("smallcnn", 1, 32, 32, 3, np.random.default_rng(0))
+        set_bytes = sum(e.tensor.nbytes for e in start.parameters())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_experiment(cfg, parts, out_dir=tmp_path, classes=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "checkpoints" / "round_002" / "client_31" / "model").is_dir()
+        assert peak < 3 * n * set_bytes, f"{peak / (n * set_bytes):.2f} sets per client"
 
 
 class TestFedbnFilter:
@@ -767,11 +874,14 @@ class TestFedProx:
             client = cto.ClientState(0, q, c, part, rng=np.random.default_rng(0))
         else:
             client = _Client(0, c, part, np.random.default_rng(0))
+        upload = client.upload()  # shares c's arrays until `receive`
+        upload_bits = upload.copy()
         client.receive(anchor)
         for epoch in range(3):
             client_local_epoch(client, epoch, cfg)
         assert client.last_received is anchor
         assert anchor.identical(snapshot)
+        assert upload.identical(upload_bits)
         assert not c.parameters().identical(snapshot)  # the model did train
 
     @pytest.mark.parametrize("cto_enabled", [False, True])

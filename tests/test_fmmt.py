@@ -84,3 +84,41 @@ def test_zero_dim_tensor_roundtrip(tmp_path):
     back = fmmt.read_tensor(p)
     assert back.shape == () and back == 2.5
     assert p.read_bytes() == fmmt.MAGIC + struct.pack("<IB I", 1, 2, 0) + struct.pack("<d", 2.5)
+
+
+def _struct_bytes(arr) -> bytes:
+    """The FMMT file of `arr` built field by field with struct: float32 stays
+    float32, every other dtype (big-endian float32 included) becomes
+    float64, and the payload is little-endian, row-major."""
+    arr = np.asarray(arr)
+    code, fmt = (1, "f") if arr.dtype == np.dtype(np.float32) else (2, "d")
+    values = np.asarray(arr, dtype=np.float64).ravel(order="C").tolist()
+    return (fmmt.MAGIC + struct.pack("<IB I", 1, code, arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape) + struct.pack(f"<{len(values)}{fmt}", *values))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: np.float64(-2.5),
+        lambda r: np.array(3.25, dtype=np.float32),
+        lambda r: r.normal(size=(3, 4)),
+        lambda r: r.normal(size=(2, 3)).astype(np.float32),
+        lambda r: r.normal(size=(4, 5)).astype(">f8"),
+        lambda r: r.normal(size=(4, 5)).astype(">f4"),
+        lambda r: r.normal(size=(6, 8))[::2, 1::3],  # non-contiguous
+        lambda r: r.normal(size=(3, 5)).T,  # Fortran order
+        lambda r: r.normal(size=(2, 4)).astype(np.float32)[:, ::-1],
+        lambda r: np.arange(6).reshape(2, 3),  # integers become float64
+        lambda r: np.zeros((0, 3)),
+    ],
+    ids=["0d", "0d_f32", "f64", "f32", "big_f64", "big_f32", "strided", "fortran",
+         "reversed_f32", "int", "empty"],
+)
+def test_write_bytes_match_struct_layout(tmp_path, rng, make):
+    arr = make(rng)
+    before = np.array(arr, copy=True)
+    p = tmp_path / "t.fmmt"
+    fmmt.write_tensor(p, arr)
+    assert p.read_bytes() == _struct_bytes(arr)
+    assert np.array_equal(np.asarray(arr), before)  # the input is only read

@@ -498,6 +498,26 @@ class TestSgd:
             assert np.array_equal(net.parameters().get(name).tensor, start.get(name).tensor)
         assert anchor.identical(snapshot)
 
+    @pytest.mark.parametrize("arch", ["tiny_mlp", "smallcnn", "smallcnn_bn"])
+    def test_step_consumes_gradients(self, rng, arch):
+        net = build_network(arch, 1, 12, 12, 3, rng)
+        backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+        grads = net.gradients()
+        assert net.gradients().identical(grads)  # reading them leaves them in place
+        sgd_step(net, 0.1)
+        for _, layer in net.layers:
+            assert layer.grads == {}
+        first = next(f"{l}.{p}" for l, layer in net.layers for p in layer.params)
+        stepped = net.parameters()
+        with pytest.raises(RuntimeError, match=rf"sgd_step without a backward: {first}\b"):
+            sgd_step(net, 0.1)
+        assert net.parameters().identical(stepped)
+
+    def test_step_without_backward_raises(self, rng):
+        net = build_network("smallcnn", 1, 12, 12, 3, rng)
+        with pytest.raises(RuntimeError, match=r"sgd_step without a backward: conv1\.weight"):
+            sgd_step(net, 0.1, prox=(0.5, net.parameters()))
+
     def test_gradients_cover_trainable_parameters_only(self, rng):
         net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
         backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
@@ -533,3 +553,34 @@ class TestParameterExport:
         assert any("running_mean" in n for n in bn_names)
         plain = build_network("smallcnn", 1, 12, 12, 3, rng)
         assert not any(e.is_batchnorm for e in plain.parameters())
+
+    def test_view_shares_and_parameters_copy(self, rng):
+        net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
+        view, copied = net.view(), net.parameters()
+        assert [(e.name, e.kind, e.is_batchnorm) for e in view] == [
+            (e.name, e.kind, e.is_batchnorm) for e in copied
+        ]
+        assert view.identical(copied)
+        layers = dict(net.layers)
+        for v, c in zip(view, copied):
+            lname, name = v.name.rsplit(".", 1)
+            assert v.tensor is {**layers[lname].params, **layers[lname].buffers}[name]
+            assert not np.shares_memory(c.tensor, v.tensor)
+
+    def test_import_installs_copies_so_old_views_keep_their_bits(self, rng):
+        # an upload is a view taken before `import_parameters`; training after
+        # the import (BatchNorm running stats included) must not reach it
+        net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
+        old_view = net.view()
+        old_bits = old_view.copy()
+        incoming = build_network("smallcnn_bn", 1, 12, 12, 3, rng).parameters()
+        incoming_bits = incoming.copy()
+        net.import_parameters(incoming)
+        for n, i in zip(net.view(), incoming):
+            assert not np.shares_memory(n.tensor, i.tensor)
+        for _ in range(2):
+            backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
+            sgd_step(net, 0.1)
+        assert old_view.identical(old_bits)
+        assert incoming.identical(incoming_bits)
+        assert not net.parameters().identical(incoming_bits)

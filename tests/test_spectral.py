@@ -8,6 +8,8 @@ from fedspectra.errors import CongruenceError, DomainError, NonFiniteError, Shap
 from fedspectra.nn import build_network
 from fedspectra.spectral import (
     CfaSchedule,
+    _axis_selection,
+    _low_pass_matrix,
     build_mask,
     cfa_aggregate,
     fft2d,
@@ -438,6 +440,23 @@ class TestCfaPerClientFilter:
                 assert got.shape == want.shape, entry.name
                 assert np.array_equal(got, want), entry.name
                 assert np.array_equal(np.signbit(got), np.signbit(want)), entry.name
+
+    @pytest.mark.parametrize("s", [0.26, 0.30, 0.34, 0.45, 0.5, 0.55])
+    def test_low_pass_matrix_equals_index_gather(self, s):
+        # the circulant A[i, j] = kernel[(i - j) % n] by an explicit index
+        # gather, for every n the window build could get wrong: odd, even,
+        # 1, and long axes; the kernel is not assumed symmetric
+        for n in [*range(1, 200), 576, 577, 1000, 1023]:
+            kernel = ifft2d_complex(_axis_selection(n, s)[:, None])[:, 0].real
+            k = np.arange(n)
+            want = kernel[(k[:, None] - k[None, :]) % n]
+            got = _low_pass_matrix(n, s)
+            if got is None:
+                assert np.array_equal(want, np.eye(n)), n
+                continue
+            assert got.flags.c_contiguous, n
+            assert np.array_equal(got, want), n
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
 
     def test_transient_memory_is_one_client_plus_outputs(self):
         # a whole-stack filter holds several [32, 64, 576] arrays at once
