@@ -1,7 +1,7 @@
 """Measure what a CFA run costs as the client count N grows: wall time,
 the tracemalloc peak and the process's peak RSS.
 
-For each N (4, 32 and 128 by default), a fresh Python process runs
+For each N in 4, 32 and 128, a fresh Python process runs
 `configs/desk.cfg` with N clients, CTO off, CFA after every local epoch,
 3 epochs and checkpoints on, with one training thread and one BLAS
 thread. It generates the data, then runs the experiment twice:
@@ -41,6 +41,7 @@ import same_bytes
 ROOT = Path(__file__).resolve().parent.parent
 OVERRIDES = {"cto_enabled": "false", "comm_interval": "1", "total_epochs": "3",
              "save_checkpoints": "true"}
+CLIENTS = (4, 32, 128)
 PINNED = {"FEDSPECTRA_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
@@ -91,7 +92,6 @@ def _spawn(n: int, tree: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="also run this git revision")
-    parser.add_argument("--clients", default="4,32,128", help="comma-separated N values")
     parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--tree", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             sides["against"] = Path(tmp) / "against_src"
         print(f"{'N':>5} {'side':<8} {'run_s':>7} {'peak_MB':>8} {'sets/client':>11} "
               f"{'maxrss_MB':>9}")
-        for n in (int(x) for x in args.clients.split(",")):
+        for n in CLIENTS:
             for side, tree in sides.items():
                 r = _spawn(n, tree)
                 print(f"{n:>5} {side:<8} {r['run_s']:>7.2f} {r['peak_mb']:>8.1f} "

@@ -27,8 +27,10 @@ and FedProx anchors are only read; clients may share one anchor. A model
 the server overwrites equals its received aggregate until the next round
 trains it (round evaluation does not train), so that aggregate is also its
 checkpoint payload; only a model the server never replaces is copied for
-saving. The previous aggregate is released once written, so a client
-holds two parameter sets at aggregation: its model and the new aggregate.
+saving. The previous aggregate is released once written, so at
+aggregation a client holds two parameter sets per trained model: the model
+(the baseline model or the CTO deputy, which its upload shares) and the new
+aggregate. A CTO client also holds its personalized network, a third.
 
 `run_experiment` checks its inputs, builds the clients, then calls
 `_run_round` once per round: train `comm_interval` local epochs, wait for
