@@ -19,6 +19,11 @@ With `--against <rev>`, the committed tree of <rev> is extracted with
 `git archive` (as `same_bytes.py` does) and every N runs on both sides,
 the working tree first. Numbers depend on the machine and the numpy build:
 compare two revisions in one call.
+
+Exits 1, after printing every row, when the working tree holds more than
+`MAX_SETS_PER_CLIENT` parameter sets per client at N = 128. At aggregation
+a client holds two sets, its model and the new aggregate, so a third set
+per client means a copy came back.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OVERRIDES = {"cto_enabled": "false", "comm_interval": "1", "total_epochs": "3",
              "save_checkpoints": "true"}
 CLIENTS = (4, 32, 128)
+MAX_SETS_PER_CLIENT = 3.0  # at N = 128; the bound TestRoundMemory holds at N = 32
 PINNED = {"FEDSPECTRA_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
@@ -107,11 +113,18 @@ def main(argv=None) -> int:
             sides["against"] = Path(tmp) / "against_src"
         print(f"{'N':>5} {'side':<8} {'run_s':>7} {'peak_MB':>8} {'sets/client':>11} "
               f"{'maxrss_MB':>9}")
+        failed = False
         for n in CLIENTS:
             for side, tree in sides.items():
                 r = _spawn(n, tree)
                 print(f"{n:>5} {side:<8} {r['run_s']:>7.2f} {r['peak_mb']:>8.1f} "
                       f"{r['sets_per_client']:>11.2f} {r['maxrss_mb']:>9.1f}", flush=True)
+                if n == 128 and side == "tree" and r["sets_per_client"] > MAX_SETS_PER_CLIENT:
+                    failed = True
+    if failed:
+        print(f"round_memory: more than {MAX_SETS_PER_CLIENT} sets per client at N = 128",
+              file=sys.stderr)
+        return 1
     return 0
 
 

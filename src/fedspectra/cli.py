@@ -75,7 +75,7 @@ def _resolve(args) -> RunConfig:
         apply_setting(cfg, key.strip(), raw, where="--set")
     if args.out is not None:
         cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
     return cfg

@@ -62,7 +62,7 @@ class ClientState:
                 f"need 0 <= lambda1 <= lambda2 <= 1, got "
                 f"({self.lambda1}, {self.lambda2})"
             )
-        self.personalized.parameters().require_congruent(self.deputy.parameters())
+        self.personalized.view().require_congruent(self.deputy.view())
 
     def step(self, images, labels, lr: float, mu: float) -> None:
         train_batch(self, images, labels, lr, mu)

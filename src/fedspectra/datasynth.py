@@ -275,9 +275,7 @@ def load_dataset(root) -> List[ClientPartition]:
         manifest = cdir / "labels.csv"
         if not manifest.exists():
             raise IngestionError(f"{cdir}: missing labels.csv manifest")
-        buckets: Dict[str, Tuple[List[np.ndarray], List[int], List[Path]]] = {
-            s: ([], [], []) for s in SPLITS
-        }
+        buckets: Dict[str, Tuple[List[np.ndarray], List[int]]] = {s: ([], []) for s in SPLITS}
         with open(manifest, newline="") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames != ["filename", "label", "split"]:
@@ -301,22 +299,19 @@ def load_dataset(root) -> List[ClientPartition]:
                     raise IngestionError(f"{manifest}: unknown label {label}")
                 path = cdir / "images" / row["filename"]
                 img = fmmt.read_tensor(path)
+                if not np.isfinite(img).all():
+                    raise IngestionError(f"{path}: non-finite pixel value")
                 if shape is None:
                     shape = img.shape
                 elif img.shape != shape:
                     raise IngestionError(f"{path}: shape {img.shape} differs from {shape}")
                 buckets[split][0].append(img)
                 buckets[split][1].append(label)
-                buckets[split][2].append(path)
         parts = {}
         for s in SPLITS:
-            imgs, labs, paths = buckets[s]
+            imgs, labs = buckets[s]
             if imgs:
-                stacked = np.stack(imgs)
-                if not np.isfinite(stacked).all():  # one pass; find the file only on failure
-                    bad = next(p for p, im in zip(paths, imgs) if not np.isfinite(im).all())
-                    raise IngestionError(f"{bad}: non-finite pixel value")
-                parts[s] = SplitData(stacked, np.asarray(labs, dtype=np.int64))
+                parts[s] = SplitData(np.stack(imgs), np.asarray(labs, dtype=np.int64))
             else:
                 parts[s] = SplitData(
                     np.zeros((0,) + (shape or (1, 1, 1))), np.zeros(0, dtype=np.int64)

@@ -187,14 +187,6 @@ def fedbn_filter(ps: ParameterSet) -> Tuple[ParameterSet, ParameterSet]:
     return ParameterSet(shared), ParameterSet(retained)
 
 
-def _merge_retained(upload: ParameterSet, shared: ParameterSet) -> ParameterSet:
-    """The upload in its own order, each entry that `shared` names replaced."""
-    shared_names = set(shared.names())
-    return ParameterSet(
-        [shared.get(e.name) if e.name in shared_names else e for e in upload.entries]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Clients
 
@@ -306,7 +298,10 @@ def _aggregate(
 
     if not cfg.fedbn_exclude_bn:
         return shared_out
-    return [_merge_retained(u, out) for u, out in zip(uploads, shared_out)]
+    return [  # the upload's own order; batch-norm entries stay as uploaded
+        ParameterSet([e if e.is_batchnorm else out.get(e.name) for e in u.entries])
+        for u, out in zip(uploads, shared_out)
+    ]
 
 
 def _evaluate_round(
@@ -423,15 +418,16 @@ def run_experiment(
         raise ConfigError(
             f"{len(partitions)} partitions for num_clients={cfg.num_clients}"
         )
-    if classes is None:
-        classes = 1 + max(
-            int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
-        )
     for p in partitions:
         if len(p.train) == 0:
             raise ConfigError(f"client {p.client_id} has no training data")
         if cfg.cto_enabled and len(p.val) == 0:
             raise ConfigError(f"CTO needs val data; client {p.client_id} has none")
+    if classes is None:
+        classes = 1 + max(
+            int(p.split(s).labels.max()) for p in partitions for s in SPLITS if len(p.split(s))
+        )
+    for p in partitions:
         for split in SPLITS:
             labels = p.split(split).labels
             bad = labels[(labels < 0) | (labels >= classes)]

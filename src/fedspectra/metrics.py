@@ -66,19 +66,9 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return (last - 0.5 * (counts - 1))[inverse]
 
 
-def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Rank-statistic ROC AUC; ties get 0.5 credit."""
-    n_pos = int(positives.sum())
-    n_neg = len(positives) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DomainError("AUC needs at least one positive and one negative")
-    ranks = _midranks(np.asarray(scores, dtype=np.float64))
-    pos_rank_sum = ranks[positives].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
 def macro_auc(scores: np.ndarray, labels: Sequence[int]) -> float:
-    """One-vs-rest macro AUC over classes with both positives and negatives."""
+    """One-vs-rest macro AUC over classes with both positives and negatives;
+    each class's AUC is the rank statistic, ties getting 0.5 credit."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != len(labels):
@@ -95,7 +85,9 @@ def macro_auc(scores: np.ndarray, labels: Sequence[int]) -> float:
                 f"class {k} has no positives or no negatives; skipped in macro AUC",
             )
             continue
-        per_class.append(binary_auc(scores[:, k], positives))
+        n_neg = len(labels) - n_pos
+        pos_rank_sum = _midranks(scores[:, k])[positives].sum()
+        per_class.append(float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)))
     if not per_class:
         raise DomainError("no scorable class for macro AUC")
     return float(np.mean(per_class))

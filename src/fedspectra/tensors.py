@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import CongruenceError, DomainError, NonFiniteError, ShapeError
 
-KINDS = ("conv4d", "matrix2d", "vector1d")
-
 
 def kind_of(arr: np.ndarray) -> str:
     """Infer the parameter kind from dimensionality."""
@@ -85,8 +83,6 @@ class ParamEntry:
     is_batchnorm: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ShapeError(f"unknown parameter kind {self.kind!r}")
         self.tensor = np.ascontiguousarray(self.tensor, dtype=np.float64)
         expected = kind_of(self.tensor)
         if expected != self.kind:
@@ -111,9 +107,6 @@ class ParameterSet:
 
     def __iter__(self) -> Iterator[ParamEntry]:
         return iter(self.entries)
-
-    def names(self) -> List[str]:
-        return [e.name for e in self.entries]
 
     def get(self, name: str) -> ParamEntry:
         return self._index[name]

@@ -4,7 +4,7 @@ import pytest
 from fedspectra import cto
 from fedspectra.cto import ClientState, CtoPhase, evaluate, maybe_advance, on_receive, train_batch
 from fedspectra.datasynth import ClientPartition, SplitData
-from fedspectra.errors import DomainError
+from fedspectra.errors import CongruenceError, DomainError
 from fedspectra.nn import LrSchedule, Network, backward, build_network, sgd_step
 
 LR = LrSchedule().at(0)  # the default schedule's first-epoch rate
@@ -117,6 +117,13 @@ class TestMaybeAdvance:
     def test_lambda_ordering_enforced(self, rng):
         with pytest.raises(DomainError):
             make_state(rng, lambda1=0.9, lambda2=0.5)
+
+    def test_incongruent_models_rejected(self, rng):
+        init = np.random.default_rng(42)
+        q = build_network("tiny_mlp", 1, 8, 8, 3, init)
+        c = build_network("tiny_mlp", 1, 8, 8, 4, init)
+        with pytest.raises(CongruenceError):
+            ClientState(client_id=0, personalized=q, deputy=c, data=toy_partition(rng))
 
 
 class TestTrainBatch:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedspectra import cto, federation, fmmt
-from fedspectra.datasynth import SplitData, SynthSpec, default_style, generate
+from fedspectra.datasynth import SPLITS, SplitData, SynthSpec, default_style, generate
 from fedspectra.errors import ConfigError, DomainError, NonFiniteError
 from fedspectra.federation import (
     FederationConfig,
@@ -283,7 +283,7 @@ class TestFedbnFilter:
         assert len(shared) + len(retained) == len(full)
         assert not any(e.is_batchnorm for e in shared)
         assert all(e.is_batchnorm for e in retained)
-        assert set(shared.names()) | set(retained.names()) == set(full.names())
+        assert {e.name for e in shared} | {e.name for e in retained} == {e.name for e in full}
 
     def test_no_bn_all_shared(self, rng):
         net = build_network("smallcnn", 1, 12, 12, 3, rng)
@@ -482,14 +482,24 @@ class TestRunExperiment:
         splits = {(rec.client_id, rec.split) for r in reports for rec in r.records}
         assert splits == {(0, "val"), (0, "test"), (1, "test")}
 
-    @pytest.mark.parametrize("cto_enabled", [True, False], ids=["cto", "base"])
-    def test_empty_train_split_rejected_before_training(self, tmp_path, monkeypatch, cto_enabled):
+    @pytest.mark.parametrize(
+        "cto_enabled, n_clients, emptied",
+        [(True, 2, ("train",)), (False, 2, ("train",)), (False, 1, SPLITS)],
+        ids=["cto", "base", "no_labelled_sample"],
+    )
+    def test_empty_train_split_rejected_before_training(
+        self, tmp_path, monkeypatch, cto_enabled, n_clients, emptied
+    ):
+        # with no `classes`, the run must not infer them from empty splits first
         calls = count_local_epochs(monkeypatch)
-        parts = tiny_partitions()
-        train = parts[1].train
-        parts[1].train = SplitData(train.images[:0], train.labels[:0])
-        with pytest.raises(ConfigError, match="client 1 has no training data"):
-            run_experiment(tiny_config(cto_enabled=cto_enabled), parts, out_dir=tmp_path / "r")
+        parts = tiny_partitions(n_clients)
+        last = parts[-1]
+        for split in emptied:
+            data = last.split(split)
+            setattr(last, split, SplitData(data.images[:0], data.labels[:0]))
+        cfg = tiny_config(cto_enabled=cto_enabled, num_clients=n_clients)
+        with pytest.raises(ConfigError, match=f"client {last.client_id} has no training data"):
+            run_experiment(cfg, parts, out_dir=tmp_path / "r")
         assert calls == []
         assert not (tmp_path / "r").exists()
 

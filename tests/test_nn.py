@@ -521,7 +521,7 @@ class TestSgd:
     def test_gradients_cover_trainable_parameters_only(self, rng):
         net = build_network("smallcnn_bn", 1, 12, 12, 3, rng)
         backward(net, rng.normal(size=(4, 1, 12, 12)), rng.integers(0, 3, size=4))
-        names = net.gradients().names()
+        names = [e.name for e in net.gradients()]
         assert names == [f"{l}.{p}" for l, layer in net.layers for p in layer.params]
         assert "bn1.gamma" in names and "bn1.running_mean" not in names
 

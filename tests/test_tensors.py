@@ -125,3 +125,5 @@ class TestParameterSet:
     def test_kind_must_match_ndim(self):
         with pytest.raises(ShapeError):
             ParamEntry("x", np.zeros((2, 2)), "vector1d")
+        with pytest.raises(ShapeError):  # an unknown kind matches no ndim
+            ParamEntry("w", np.zeros((2, 2)), "bogus")
