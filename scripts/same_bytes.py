@@ -12,8 +12,9 @@ With `--against <rev>`, the committed tree of <rev> is extracted with
 `git archive` into a temporary directory (nothing is registered in the
 repository, so an interrupted comparison leaves no state behind), the
 same runs are repeated there, and each configuration prints "same" or
-the first file that differs. The exit status is 1 if any run fails or
-any file differs.
+"DIFFERS" for each artifact: metrics.csv, events.jsonl and the
+checkpoint tree (with the count of checkpoint files that differ). The
+exit status is 1 if any run fails or any file differs.
 
 The hashes depend on the numpy and BLAS build: compare two revisions on
 one machine, and do not commit the hashes as a test.
@@ -106,11 +107,17 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
-def _first_difference(ours: dict, theirs: dict):
-    for path in sorted(set(ours) | set(theirs)):
-        if ours.get(path) != theirs.get(path):
-            return path
-    return None
+def _verdicts(ours: dict, theirs: dict) -> str:
+    """One "same"/"DIFFERS" per artifact of two runs' file hashes."""
+    words = [
+        f"{name} {'same' if ours[name] == theirs[name] else 'DIFFERS'}"
+        for name in ("metrics.csv", "events.jsonl")
+    ]
+    ckpts = sorted(p for p in set(ours) | set(theirs) if p.startswith("checkpoints/"))
+    n_diff = sum(ours.get(p) != theirs.get(p) for p in ckpts)
+    words.append("checkpoints same" if n_diff == 0
+                 else f"checkpoints DIFFERS ({n_diff} of {len(ckpts)} files)")
+    return ", ".join(words)
 
 
 def _print_hashes(label: str, name: str, hashes: dict) -> None:
@@ -154,9 +161,9 @@ def main(argv=None) -> int:
         for side in sides:
             _print_hashes(side, name, results[side, name])
         if args.against:
-            diff = _first_difference(results["tree", name], results["against", name])
-            differs |= diff is not None
-            print(f"{name}: same" if diff is None else f"{name}: DIFFERS at {diff}")
+            ours, theirs = results["tree", name], results["against", name]
+            differs |= ours != theirs
+            print(f"{name}: {_verdicts(ours, theirs)}")
     return 1 if differs else 0
 
 

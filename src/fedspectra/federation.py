@@ -51,7 +51,6 @@ import csv
 import json
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -107,7 +106,7 @@ class FederationConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         try:  # the schedules check their own ranges
             self.cfa, self.lr
-        except (DomainError, ShapeError) as exc:
+        except DomainError as exc:
             raise ConfigError(str(exc)) from None
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
@@ -256,7 +255,10 @@ def _init_clients(
     sample = partitions[0].train.images
     channels, height, width = sample.shape[1:]
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    start = build_network(cfg.arch, channels, height, width, classes, init_rng)
+    try:
+        start = build_network(cfg.arch, channels, height, width, classes, init_rng)
+    except ShapeError as exc:  # an unknown arch, or images too small for it
+        raise ConfigError(str(exc)) from None
     clients: List[Client] = []
     for part in partitions:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, part.client_id]))
@@ -440,18 +442,17 @@ def run_experiment(
         sample = partitions[0].train.images
         if sample.shape[-1] != sample.shape[-2]:
             raise ConfigError("augmentation requires square images")
+    clients = _init_clients(cfg, partitions, classes)
+    workers = _max_workers(cfg.num_clients)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    clients = _init_clients(cfg, partitions, classes)
-    workers = _max_workers(cfg.num_clients)
     reports: List[RoundReport] = []
-    with ExitStack() as stack:
+    with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1, WRITER_THREAD_PREFIX) as saver:
         # One worker trains on the main thread: on a pool thread its temporaries take a
-        # second malloc arena (many_clients peak RSS 141-144 MB -> 152-172 MB).
-        run = stack.enter_context(ThreadPoolExecutor(workers)).map if workers > 1 else map
-        saver = stack.enter_context(ThreadPoolExecutor(1, WRITER_THREAD_PREFIX))
+        # second malloc arena (many_clients peak RSS 75.6-76.0 -> 78.1-78.3 MB).
+        run = pool.map if workers > 1 else map
         pending = []  # the previous round's checkpoint writes
         for round_idx in range(1, cfg.total_epochs // cfg.comm_interval + 1):
             reports.append(_run_round(cfg, clients, classes, round_idx, run, pending))

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CongruenceError, ShapeError
+from .errors import CongruenceError, DomainError, ShapeError
 from .tensors import ParamEntry, ParameterSet, kind_of
 
 _LOG_CLAMP = 1e-12
@@ -412,7 +412,7 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.initial <= 0 or self.halve_every < 1:
-            raise ShapeError("learning-rate schedule requires initial>0, halve_every>=1")
+            raise DomainError("learning-rate schedule requires initial>0, halve_every>=1")
 
     def at(self, epoch: int) -> float:
         return self.initial * 0.5 ** (epoch // self.halve_every)

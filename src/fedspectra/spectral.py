@@ -7,14 +7,13 @@ uses the unnormalized negative-exponent convention and the inverse
 divides by rows*cols. A naive direct-summation DFT lives in the test
 suite as the independent oracle.
 
-Complex-mode aggregation is linear and its mask is the outer product of
-two k -> -k symmetric axis selections, so it runs client by client as a
-separable real low-pass filter: out_k = X_k - A_r X_k A_c + L, with A_r
-and A_c real symmetric circulant matrices (a product is skipped where a
-full selection makes its A exactly the identity) and L the masked low band
-of the client mean: one transform pair per entry, transient memory one
-client's temporaries. amplitude_phase mode (nonlinear) and a mask override
-(not always separable) transform every client of the stacked uploads.
+Complex-mode aggregation is linear, so it runs client by client:
+out_k = X_k - irfft2(half * rfft2(X_k)) + L, with half the mask's rfft2
+half (enough, as the mask is symmetric under k -> -k) and L the masked
+low band of the client mean; transient memory is one client's
+temporaries. A whole-spectrum mask gives every client L, with no
+per-client transform. amplitude_phase mode (nonlinear) and a mask
+override (not always symmetric) transform the stacked uploads.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
 from .tensors import (
@@ -164,28 +162,21 @@ def _real_part(back: np.ndarray) -> np.ndarray:
     return back.real
 
 
-def _low_pass_matrix(n: int, s: float) -> Optional[np.ndarray]:
-    """Real symmetric circulant A with A @ x == ifft(selection * fft(x)) for
-    a length-n axis, built from the inverse transform of the selection; None
-    where A is exactly the identity (a full selection at n = 3, 64, 576, not 7)."""
-    kernel = ifft2d_complex(_axis_selection(n, s)[:, None])[:, 0].real
-    if kernel[0] == 1.0 and not kernel[1:].any():
-        return None
-    r = kernel[::-1]  # row i of A is r's doubled window starting at n - 1 - i
-    return np.ascontiguousarray(sliding_window_view(np.concatenate([r, r]), n)[n - 1 :: -1])
-
-
 def _filter_complex(tensors: Sequence[np.ndarray], s: float) -> Iterator[np.ndarray]:
-    """Complex-mode CFA, client by client: X_k - A_r X_k A_c + L, with L the
-    low band of the client mean. The product of an identity A is skipped."""
+    """Complex-mode CFA, client by client: X_k - lowpass(X_k) + L, with L the
+    low band of the client mean. A whole-spectrum mask gives every client L."""
     rows, cols = tensors[0].shape
-    spec = fft2d(tensor_mean(tensors))
-    low = _real_part(ifft2d_complex(np.where(_mask_saturating(rows, cols, s), spec, 0)))
-    a_r, a_c = _low_pass_matrix(rows, s), _low_pass_matrix(cols, s)
+    mask = _mask_saturating(rows, cols, s)
+    low = _real_part(ifft2d_complex(np.where(mask, fft2d(tensor_mean(tensors)), 0)))
+    if mask.all():
+        yield from (low + 0.0 for _ in tensors)
+        return
+    half = mask[:, : cols // 2 + 1]
     for x in tensors:
-        own = x if a_r is None else a_r @ x
-        own = own if a_c is None else own @ a_c
-        out = np.subtract(x, own, out=None if own is x else own)
+        own = np.fft.rfft2(x)
+        own *= half
+        out = np.fft.irfft2(own, s=(rows, cols))
+        np.subtract(x, out, out=out)
         out += low
         yield out
 
@@ -216,10 +207,9 @@ def cfa_aggregate(
     coefficients inside the low-frequency mask are replaced by the
     cross-client mean; each client keeps its own coefficients outside the
     mask. Dense matrices are transformed as-is; 1-D parameters are merged
-    by plain mean. Complex mode filters client by client and skips the
-    product of an identity axis filter; amplitude_phase mode and
-    `mask_override` (a test hook: s < 0.5 can never produce a full mask)
-    transform the stacked uploads. A non-finite upload raises NonFiniteError.
+    by plain mean. Complex mode filters client by client; amplitude_phase
+    mode and `mask_override` (a test hook: s < 0.5 can never produce a full
+    mask) transform the stacked uploads. A non-finite upload raises NonFiniteError.
     """
     require_all_congruent(client_sets)
     if mask_override is None and not (0.0 < s < 1.0):

@@ -287,6 +287,17 @@ class TestRunCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "arch, problem",
+        [("foo", "unknown architecture 'foo'"), ("smallcnn", "input 8x8 too small for smallcnn")],
+    )
+    def test_unbuildable_network_exits_2(self, tiny_cfg, tmp_path, capsys, arch, problem):
+        out = tmp_path / "run"
+        rc = main(["run", "--config", str(tiny_cfg), "--set", f"arch={arch}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     @pytest.mark.parametrize("setting", ["fedprox_mu=nan", "count_scale=nan", "lr_initial=inf"])
     def test_non_finite_set_exits_2(self, tiny_cfg, tmp_path, capsys, command, setting):

@@ -428,6 +428,22 @@ class TestRunExperiment:
             tmp_path / "t3" / "events.jsonl"
         ).read_bytes()
 
+    def test_one_thread_trains_on_the_main_thread(self, monkeypatch):
+        # one worker trains on the main thread; a pool thread would put its
+        # training temporaries in a second malloc arena
+        monkeypatch.setenv("FEDSPECTRA_THREADS", "1")
+        threads = []
+        local_epoch = federation.client_local_epoch
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return local_epoch(*args)
+
+        monkeypatch.setattr(federation, "client_local_epoch", recording)
+        run_experiment(tiny_config(num_clients=3), tiny_partitions(n_clients=3))
+        assert len(threads) == 3 * 4  # clients x epochs
+        assert all(t is threading.main_thread() for t in threads)
+
     def test_amplitude_phase_run_finite_and_thread_independent(self, tmp_path, monkeypatch):
         cfg = tiny_config(
             num_clients=3, aggregator="cfa", domain_mode="amplitude_phase",

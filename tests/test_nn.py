@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from fedspectra.errors import ShapeError
+from fedspectra.errors import DomainError, ShapeError
 from fedspectra.nn import (
     BatchNorm,
     Conv2d,
@@ -447,6 +447,11 @@ class TestSgd:
         assert sch.at(0) == pytest.approx(3e-3)
         assert sch.at(30) == pytest.approx(1.5e-3)
         assert sch.at(65) == pytest.approx(7.5e-4)
+
+    @pytest.mark.parametrize("kwargs", [{"initial": 0.0}, {"halve_every": 0}])
+    def test_lr_schedule_domain(self, kwargs):
+        with pytest.raises(DomainError):
+            LrSchedule(**kwargs)
 
     def test_zero_gradient_no_change(self, rng):
         net = build_network("tiny_mlp", 1, 4, 4, 3, rng)
