@@ -49,6 +49,8 @@ CONFIGS = {
     # N > 4 through CFA: aggregation after every epoch, saturated from round 6
     "cfa_32_clients": (
         ["num_clients=32", "cto_enabled=false", "comm_interval=1", "total_epochs=7"], "1"),
+    # the stacked CFA path (complex mode filters client by client)
+    "amplitude_phase": (["domain_mode=amplitude_phase", "cto_enabled=false"], "1"),
     # the thread rule: any FEDSPECTRA_THREADS gives the same bytes
     "as_shipped_threads2": ([], "2"),
 }

@@ -65,6 +65,8 @@ class RunConfig(FederationConfig):
             raise ConfigError("classes must be >= 2")
         if self.count_scale <= 0:
             raise ConfigError("count_scale must be positive")
+        if self.noise_level < 0:
+            raise ConfigError("noise_level must be nonnegative")
         if min(self.image_channels, self.image_height, self.image_width) < 1:
             raise ConfigError("image dimensions must be positive")
 

@@ -60,7 +60,7 @@ import numpy as np
 from . import cto, fmmt, metrics
 from .datasynth import SPLITS, ClientPartition, augment
 from .errors import ConfigError, DomainError, ShapeError
-from .nn import LrSchedule, Network, backward, build_network, cross_entropy, sgd_step
+from .nn import Network, backward, build_network, cross_entropy, sgd_step
 from .spectral import DOMAIN_MODES, CfaSchedule, cfa_aggregate, schedule_threshold
 from .tensors import ParameterSet, require_all_congruent, require_finite
 
@@ -95,19 +95,19 @@ class FederationConfig:
     def cfa(self) -> CfaSchedule:
         return CfaSchedule(self.s0, self.s1, self.total_epochs)
 
-    @property
-    def lr(self) -> LrSchedule:
-        return LrSchedule(self.lr_initial, self.lr_halve_every)
-
     def validate(self) -> None:
         for f in fields(self):  # NaN would pass every range check below
             value = getattr(self, f.name)
             if f.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        try:  # the schedules check their own ranges
-            self.cfa, self.lr
+        try:  # the CFA schedule checks its own ranges
+            self.cfa
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
+        if self.lr_initial <= 0 or self.lr_halve_every < 1:
+            raise ConfigError("learning-rate schedule requires lr_initial > 0, lr_halve_every >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if self.comm_interval < 1 or self.total_epochs < self.comm_interval:
@@ -235,7 +235,7 @@ def client_local_epoch(
 ) -> Optional[dict]:
     """Train one local epoch; returns the client's end-of-epoch event."""
     train = client.data.train
-    lr = cfg.lr.at(epoch)
+    lr = cfg.lr_initial * 0.5 ** (epoch // cfg.lr_halve_every)
     for idx in _batches(len(train), cfg.batch_size, client.rng):
         images = train.images[idx]
         labels = train.labels[idx]
@@ -252,8 +252,9 @@ def client_local_epoch(
 def _init_clients(
     cfg: FederationConfig, partitions: Sequence[ClientPartition], classes: int
 ) -> List[Client]:
-    sample = partitions[0].train.images
-    channels, height, width = sample.shape[1:]
+    channels, height, width = partitions[0].train.images.shape[1:]
+    if cfg.augment and height != width:
+        raise ConfigError("augmentation requires square images")
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     try:
         start = build_network(cfg.arch, channels, height, width, classes, init_rng)
@@ -438,10 +439,6 @@ def run_experiment(
                     f"client {p.client_id} {split} split holds label {int(bad[0])}; "
                     f"labels must lie in [0, {classes})"
                 )
-    if cfg.augment:
-        sample = partitions[0].train.images
-        if sample.shape[-1] != sample.shape[-2]:
-            raise ConfigError("augmentation requires square images")
     clients = _init_clients(cfg, partitions, classes)
     workers = _max_workers(cfg.num_clients)
     if out_dir is not None:

@@ -30,12 +30,11 @@ Kernel rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CongruenceError, DomainError, ShapeError
+from .errors import CongruenceError, ShapeError
 from .tensors import ParamEntry, ParameterSet, kind_of
 
 _LOG_CLAMP = 1e-12
@@ -401,21 +400,6 @@ def backward(
     for i, (_, layer) in reversed(list(enumerate(net.layers))):
         dy = layer.backward(dy, need_dx=i > 0)
     return probs
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Step decay: lr(epoch) = initial * 0.5 ** (epoch // halve_every)."""
-
-    initial: float = 3e-3
-    halve_every: int = 30
-
-    def __post_init__(self):
-        if self.initial <= 0 or self.halve_every < 1:
-            raise DomainError("learning-rate schedule requires initial>0, halve_every>=1")
-
-    def at(self, epoch: int) -> float:
-        return self.initial * 0.5 ** (epoch // self.halve_every)
 
 
 def sgd_step(

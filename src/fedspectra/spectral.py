@@ -162,20 +162,18 @@ def _real_part(back: np.ndarray) -> np.ndarray:
     return back.real
 
 
-def _filter_complex(tensors: Sequence[np.ndarray], s: float) -> Iterator[np.ndarray]:
+def _filter_complex(tensors: Sequence[np.ndarray], mask: np.ndarray) -> Iterator[np.ndarray]:
     """Complex-mode CFA, client by client: X_k - lowpass(X_k) + L, with L the
-    low band of the client mean. A whole-spectrum mask gives every client L."""
-    rows, cols = tensors[0].shape
-    mask = _mask_saturating(rows, cols, s)
-    low = _real_part(ifft2d_complex(np.where(mask, fft2d(tensor_mean(tensors)), 0)))
+    low band of the client mean, copied contiguous. A whole-spectrum mask gives every client L."""
+    low = _real_part(ifft2d_complex(np.where(mask, fft2d(tensor_mean(tensors)), 0))).copy()
     if mask.all():
         yield from (low + 0.0 for _ in tensors)
         return
-    half = mask[:, : cols // 2 + 1]
+    half = mask[:, : mask.shape[1] // 2 + 1]
     for x in tensors:
         own = np.fft.rfft2(x)
         own *= half
-        out = np.fft.irfft2(own, s=(rows, cols))
+        out = np.fft.irfft2(own, s=mask.shape)
         np.subtract(x, out, out=out)
         out += low
         yield out
@@ -230,13 +228,13 @@ def cfa_aggregate(
         if proto.kind == "conv4d":
             a, b, c1, c2 = proto.tensor.shape
             tensors = [reshape_conv_to_matrix(t) for t in tensors]
+        shape = tensors[0].shape
+        mask = _mask_saturating(*shape, s) if mask_override is None else mask_override
+        if mask.shape != shape:
+            raise ShapeError(f"mask shape {mask.shape} does not match spectrum {shape}")
         if domain_mode == "complex" and mask_override is None:
-            results = _filter_complex(tensors, s)
+            results = _filter_complex(tensors, mask)
         else:
-            shape = tensors[0].shape
-            mask = _mask_saturating(*shape, s) if mask_override is None else mask_override
-            if mask.shape != shape:
-                raise ShapeError(f"mask shape {mask.shape} does not match spectrum {shape}")
             results = _per_client_fft(np.stack(tensors), mask, domain_mode)
         for out, real in zip(outputs, results):
             if proto.kind == "conv4d":

@@ -135,13 +135,8 @@ class ParameterSet:
         )
 
     def identical(self, other: "ParameterSet") -> bool:
-        """Bitwise equality of every tensor."""
-        if not self.congruent_with(other):
-            return False
-        return all(
-            np.array_equal(a.tensor, b.tensor)
-            for a, b in zip(self.entries, other.entries)
-        )
+        """Elementwise `==` of every tensor: -0.0 equals 0.0, NaN equals nothing."""
+        return self.allclose(other)
 
 
 def require_all_congruent(sets: Sequence[ParameterSet]) -> None:

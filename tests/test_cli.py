@@ -298,6 +298,26 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, args, problem",
+        [
+            ("run", ["--seed", "-1"], "seed must be >= 0"),
+            ("gen-data", ["--seed", "-2"], "seed must be >= 0"),
+            ("run", ["--set", "noise_level=-0.1"], "noise_level must be nonnegative"),
+            ("gen-data", ["--set", "noise_level=-0.1"], "noise_level must be nonnegative"),
+            (
+                "run", ["--set", "image_height=16", "--set", "image_width=20"],
+                "augmentation requires square images",
+            ),
+        ],
+    )
+    def test_out_of_range_setting_exits_2(self, tiny_cfg, tmp_path, capsys, command, args, problem):
+        out = tmp_path / "bad"
+        rc = main([command, "--config", str(tiny_cfg), *args, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     @pytest.mark.parametrize("setting", ["fedprox_mu=nan", "count_scale=nan", "lr_initial=inf"])
     def test_non_finite_set_exits_2(self, tiny_cfg, tmp_path, capsys, command, setting):

@@ -5,9 +5,9 @@ from fedspectra import cto
 from fedspectra.cto import ClientState, CtoPhase, evaluate, maybe_advance, on_receive, train_batch
 from fedspectra.datasynth import ClientPartition, SplitData
 from fedspectra.errors import CongruenceError, DomainError
-from fedspectra.nn import LrSchedule, Network, backward, build_network, sgd_step
+from fedspectra.nn import Network, backward, build_network, sgd_step
 
-LR = LrSchedule().at(0)  # the default schedule's first-epoch rate
+LR = 3e-3  # the default lr_initial, the first-epoch rate
 
 
 def toy_partition(rng, n_train=20, n_val=9, n_test=9, size=8):

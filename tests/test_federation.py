@@ -21,7 +21,7 @@ from fedspectra.federation import (
     run_experiment,
     _batches,
 )
-from fedspectra.nn import LrSchedule, backward, build_network, sgd_step
+from fedspectra.nn import backward, build_network, sgd_step
 from fedspectra.spectral import CfaSchedule, schedule_threshold
 from fedspectra.tensors import ParamEntry, ParameterSet
 
@@ -323,12 +323,12 @@ class TestLocalEpoch:
         client = _LrRecorder(tiny_partitions(n_clients=1)[0])
         cfg = tiny_config(lr_initial=0.4, lr_halve_every=2)
         per_epoch = []
-        for epoch in range(4):
+        for epoch in range(5):
             client.lrs = []
             client_local_epoch(client, epoch, cfg)
             assert len(client.lrs) > 1 and len(set(client.lrs)) == 1
             per_epoch.append(client.lrs[0])
-        assert per_epoch == [0.4, 0.4, 0.2, 0.2]
+        assert per_epoch == [0.4, 0.4, 0.2, 0.2, 0.1]
 
 
 class TestRunExperiment:
@@ -593,7 +593,6 @@ class TestRunExperiment:
     def test_schedules_built_from_flat_keys(self):
         cfg = tiny_config(s0=0.2, s1=0.4, total_epochs=6, lr_initial=0.5, lr_halve_every=3)
         assert cfg.cfa == CfaSchedule(0.2, 0.4, 6)
-        assert cfg.lr == LrSchedule(0.5, 3)
 
     def test_partition_count_mismatch_rejected(self):
         parts = tiny_partitions(n_clients=2)

@@ -3,13 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from fedspectra.errors import DomainError, ShapeError
+from fedspectra.errors import ShapeError
 from fedspectra.nn import (
     BatchNorm,
     Conv2d,
     Dense,
     Flatten,
-    LrSchedule,
     MaxPool2x2,
     Network,
     ReLU,
@@ -442,17 +441,6 @@ class TestBackwardPass:
 
 
 class TestSgd:
-    def test_lr_schedule_default_values(self):
-        sch = LrSchedule(3e-3, 30)
-        assert sch.at(0) == pytest.approx(3e-3)
-        assert sch.at(30) == pytest.approx(1.5e-3)
-        assert sch.at(65) == pytest.approx(7.5e-4)
-
-    @pytest.mark.parametrize("kwargs", [{"initial": 0.0}, {"halve_every": 0}])
-    def test_lr_schedule_domain(self, kwargs):
-        with pytest.raises(DomainError):
-            LrSchedule(**kwargs)
-
     def test_zero_gradient_no_change(self, rng):
         net = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         before = net.parameters()
@@ -460,7 +448,7 @@ class TestSgd:
         for _, layer in net.layers:
             for g in layer.grads.values():
                 g[...] = 0.0
-        sgd_step(net, LrSchedule().at(0))
+        sgd_step(net, 3e-3)
         assert net.parameters().identical(before)
 
     def test_prox_at_anchor_is_noop(self, rng):
@@ -472,12 +460,12 @@ class TestSgd:
         net_a = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_a.import_parameters(anchor)
         backward(net_a, x, y)
-        sgd_step(net_a, LrSchedule().at(0), prox=(1.0, anchor))
+        sgd_step(net_a, 3e-3, prox=(1.0, anchor))
 
         net_b = build_network("tiny_mlp", 1, 4, 4, 3, rng)
         net_b.import_parameters(anchor)
         backward(net_b, x, y)
-        sgd_step(net_b, LrSchedule().at(0))
+        sgd_step(net_b, 3e-3)
 
         assert net_a.parameters().identical(net_b.parameters())
 
@@ -536,9 +524,9 @@ class TestSgd:
         params = []
         for _ in range(2):
             net = build_network("smallcnn", 1, 12, 12, 3, np.random.default_rng(7))
-            for epoch in range(3):
+            for _ in range(3):
                 backward(net, x, y)
-                sgd_step(net, LrSchedule().at(epoch))
+                sgd_step(net, 3e-3)
             params.append(net.parameters())
         assert params[0].identical(params[1])
 

@@ -127,3 +127,18 @@ class TestParameterSet:
             ParamEntry("x", np.zeros((2, 2)), "vector1d")
         with pytest.raises(ShapeError):  # an unknown kind matches no ndim
             ParamEntry("w", np.zeros((2, 2)), "bogus")
+
+    def test_identical_answers_as_elementwise_equality(self):
+        assert self._make(0.0).identical(self._make(-0.0))
+        assert self._make(np.inf).identical(self._make(np.inf))
+        assert not self._make(np.inf).identical(self._make(-np.inf))
+        assert not self._make(np.nan).identical(self._make(np.nan))
+        assert not self._make(1.0).identical(self._make(np.nextafter(1.0, 2.0)))
+        other_shape = ParameterSet(
+            [
+                ParamEntry("conv.weight", np.zeros((2, 1, 3, 3)), "conv4d"),
+                ParamEntry("fc.weight", np.zeros((3, 2)), "matrix2d"),
+                ParamEntry("fc.bias", np.zeros(4), "vector1d"),
+            ]
+        )
+        assert not self._make(0.0).identical(other_shape)
